@@ -5,6 +5,8 @@ training loop that reads the channel estimate back out of the weights.
 Each realized stream (one PAM axis of one transmit antenna) gets its own
 model per subcarrier.  Training alternates between a classifier step and a
 channel-weight step on full-batch gradients of the binary cross-entropy.
+The classifier step changes only the MLP weights, so both steps of an epoch
+share one channel-layer and IIL forward.
 For throughput, `estimate_channel_structnet` trains all subcarriers of one
 stream simultaneously through the batched trainer; the single-model
 operations below are thin views of the same arithmetic.
@@ -17,7 +19,7 @@ so every training sample is a noise-free function of that estimate.
 """
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .errors import (
     ResourceLimitError,
     TrainingDivergenceError,
 )
-from .signal_model import SubframeSpec, realify_channel_column, complexify_channel
+from .signal_model import realify_channel_column, complexify_channel
 from .estimators import estimate_ls
 
 DEFAULT_GRID_CAP = 2_000_000
@@ -235,9 +237,18 @@ class _BatchTrainer:
     All weight arrays carry a leading batch axis; the per-model loss is the
     mean cross-entropy over that model's S samples, so gradients (and
     learning rates) are batch-size independent.
+
+    An epoch runs the channel layer and the IIL once (`_forward`), giving
+    the IIL output z and a backward cache: the modulo quotients, or the
+    shifting grid's tanh values.  The classifier step back-propagates
+    through the MLP weights only; the channel step runs the MLP with the
+    updated weights down to dz and takes the channel gradients from the
+    cache, which does not outlive the epoch.
     """
 
-    _CHUNK = 1 << 16  # shift-grid chunk, bounds tanh buffer memory
+    # Shift-grid chunk: bounds the forward's temporaries; the cached tanh
+    # values still span the whole grid.
+    _CHUNK = 1 << 16
 
     def __init__(self, desired, interference, mlp, labels, lam, y, cfg: TrainConfig,
                  dtype=np.float64):
@@ -262,6 +273,7 @@ class _BatchTrainer:
         return self.y + self.lam[:, :, None] * self.desired[:, None, :]
 
     def _iil_modulo(self, s):
+        """Sequential modulo; returns (output, per-vector quotients)."""
         z = s
         alphas = []
         for k in range(self.interference.shape[1]):
@@ -273,23 +285,37 @@ class _BatchTrainer:
             alphas.append(alpha)
         return z, alphas
 
-    def _iil_shifting(self, s, dz=None):
-        """Forward sum over the shift grid; with dz given, also accumulates
-        the gradients w.r.t. the layer input and the interference weights."""
-        shifts = None
+    def _iil_shifting(self, s):
+        """Sum over the shift grid; returns (output, per-chunk tanh arrays).
+
+        The tanh arrays, (B, S, Gc, D) each, are the whole layer's backward
+        cache: together they hold G*B*S*D values.
+        """
         z = np.zeros_like(s)
-        ds = np.zeros_like(s) if dz is not None else None
-        g_int = np.zeros_like(self.interference) if dz is not None else None
+        tanhs = []
         for start in range(0, self.grid.shape[0], self._CHUNK):
             grid_c = self.grid[start:start + self._CHUNK]  # (Gc, K)
             shifts = 2.0 * np.matmul(grid_c, self.interference)  # (B, Gc, D)
             t = np.tanh(s[:, :, None, :] + shifts[:, None, :, :])  # (B, S, Gc, D)
             z += t.sum(axis=2)
-            if dz is not None:
-                u = dz[:, :, None, :] * (1.0 - t * t)
-                ds += u.sum(axis=2)
-                g_int += 2.0 * np.matmul(grid_c.T, u.sum(axis=1))
-        return z, ds, g_int
+            tanhs.append(t)
+        return z, tanhs
+
+    def _iil_shifting_backward(self, tanhs, dz):
+        """Gradients w.r.t. the layer input and the interference weights.
+
+        Each cached t becomes dz * (1 - t^2) in place, so the cache is spent.
+        """
+        ds = np.zeros_like(dz)
+        g_int = np.zeros_like(self.interference)
+        for start, t in zip(range(0, self.grid.shape[0], self._CHUNK), tanhs):
+            grid_c = self.grid[start:start + self._CHUNK]
+            np.multiply(t, t, out=t)
+            np.subtract(1.0, t, out=t)
+            u = np.multiply(dz[:, :, None, :], t, out=t)
+            ds += u.sum(axis=2)
+            g_int += 2.0 * np.matmul(grid_c.T, u.sum(axis=1))
+        return ds, g_int
 
     def _mlp_forward(self, z):
         a1 = np.tanh(z @ self.w1.swapaxes(1, 2) + self.b1[:, None, :])
@@ -297,70 +323,87 @@ class _BatchTrainer:
         logits = a2 @ self.w3.swapaxes(1, 2) + self.b3[:, None, :]
         return a1, a2, _softmax(logits)
 
-    def loss(self) -> np.ndarray:
-        """Per-model mean cross-entropy, shape (B,)."""
+    def _forward(self):
+        """Channel layer and IIL: (z, IIL backward cache) for the current weights."""
         s = self._channel_out()
         if self.cfg.iil_kind is IilKind.MODULO:
-            z, _ = self._iil_modulo(s)
-        else:
-            z, _, _ = self._iil_shifting(s)
+            return self._iil_modulo(s)
+        return self._iil_shifting(s)
+
+    def loss(self) -> np.ndarray:
+        """Per-model mean cross-entropy, shape (B,)."""
+        z, _ = self._forward()
         _, _, p = self._mlp_forward(z)
         picked = p[:, np.arange(self.n_samples), self.labels]
         return -np.log(np.maximum(picked, 1e-300)).mean(axis=1)
 
     # -- backward --------------------------------------------------------
 
-    def _grads(self):
-        s = self._channel_out()
-        if self.cfg.iil_kind is IilKind.MODULO:
-            z, alphas = self._iil_modulo(s)
-        else:
-            z, _, _ = self._iil_shifting(s)
+    def _grads(self, fwd=None, mlp=True, channel=True):
+        """Gradients of the mean cross-entropy, keyed by weight name.
+
+        `fwd` is a `_forward()` result for the current channel weights (one
+        is computed when it is None).  `mlp` selects the six MLP gradients,
+        `channel` the `desired` and `interference` gradients; a channel
+        pass spends a shifting cache.
+        """
+        z, cache = self._forward() if fwd is None else fwd
         a1, a2, p = self._mlp_forward(z)
 
         dlogits = p.copy()
         dlogits[:, np.arange(self.n_samples), self.labels] -= 1.0
         dlogits /= self.n_samples
-        g = {
-            "w3": dlogits.swapaxes(1, 2) @ a2,
-            "b3": dlogits.sum(axis=1),
-        }
         da2 = (dlogits @ self.w3) * (1.0 - a2 * a2)
-        g["w2"] = da2.swapaxes(1, 2) @ a1
-        g["b2"] = da2.sum(axis=1)
         da1 = (da2 @ self.w2) * (1.0 - a1 * a1)
-        g["w1"] = da1.swapaxes(1, 2) @ z
-        g["b1"] = da1.sum(axis=1)
+        g = {}
+        if mlp:
+            g["w3"] = dlogits.swapaxes(1, 2) @ a2
+            g["b3"] = dlogits.sum(axis=1)
+            g["w2"] = da2.swapaxes(1, 2) @ a1
+            g["b2"] = da2.sum(axis=1)
+            g["w1"] = da1.swapaxes(1, 2) @ z
+            g["b1"] = da1.sum(axis=1)
+        if not channel:
+            return g
         dz = da1 @ self.w1
 
         if self.cfg.iil_kind is IilKind.MODULO:
             # Quotients are constants, so the layer is affine in its input
             # and in each interference vector.
             ds = dz
-            if alphas:
+            if cache:
                 g["interference"] = np.stack(
-                    [-2.0 * (dz * a).sum(axis=1) for a in alphas], axis=1
+                    [-2.0 * (dz * a).sum(axis=1) for a in cache], axis=1
                 )
             else:
                 g["interference"] = np.zeros_like(self.interference)
         else:
-            _, ds, g_int = self._iil_shifting(s, dz=dz)
-            g["interference"] = g_int
+            ds, g["interference"] = self._iil_shifting_backward(cache, dz)
         g["desired"] = np.matmul(self.lam[:, None, :], ds)[:, 0, :]
         return g
 
     def run_epochs(self, n_epochs: int) -> None:
-        """Alternation: one classifier step, then one channel step, per epoch."""
+        """Alternation: one classifier step, then one channel step, per epoch.
+
+        The classifier step leaves the channel weights as they are, so both
+        steps share one channel-layer and IIL forward.
+        """
         cfg = self.cfg
         for _ in range(n_epochs):
-            g = self._grads()
-            self.w1 -= cfg.lr_classifier * g["w1"]
-            self.b1 -= cfg.lr_classifier * g["b1"]
-            self.w2 -= cfg.lr_classifier * g["w2"]
-            self.b2 -= cfg.lr_classifier * g["b2"]
-            self.w3 -= cfg.lr_classifier * g["w3"]
-            self.b3 -= cfg.lr_classifier * g["b3"]
-            g = self._grads()
+            fwd = self._forward()
+            # g_mlp stays bound until the next epoch's replaces it.  Freed at
+            # the end of each epoch, its weight-sized arrays let malloc trim
+            # the heap and fault it back in: ~500 page faults per epoch at
+            # 64 subcarriers, 15-25% of the epoch.
+            g_mlp = self._grads(fwd, channel=False)
+            self.w1 -= cfg.lr_classifier * g_mlp["w1"]
+            self.b1 -= cfg.lr_classifier * g_mlp["b1"]
+            self.w2 -= cfg.lr_classifier * g_mlp["w2"]
+            self.b2 -= cfg.lr_classifier * g_mlp["b2"]
+            self.w3 -= cfg.lr_classifier * g_mlp["w3"]
+            self.b3 -= cfg.lr_classifier * g_mlp["b3"]
+            g = self._grads(fwd, mlp=False)
+            del fwd  # the next epoch's forward must not overlap this cache
             self.desired -= cfg.lr_channel * g["desired"]
             if cfg.update_interference:
                 self.interference -= cfg.lr_channel * g["interference"]
@@ -422,8 +465,7 @@ def detect_multinomial(model: StructNetModel, y, posterior=None) -> np.ndarray:
     return raw / raw.sum()
 
 
-def estimate_channel_structnet(y_p, x_p, sigma2, spec: SubframeSpec,
-                               cfg: TrainConfig, seed) -> np.ndarray:
+def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed) -> np.ndarray:
     """Per-subframe channel estimate from pilots, all subcarriers at once.
 
     Initializes every stream's weights from the LS estimate, trains
@@ -432,7 +474,7 @@ def estimate_channel_structnet(y_p, x_p, sigma2, spec: SubframeSpec,
     output reproduces the LS estimate exactly.
 
     Each (subcarrier, stream) model trains on its own subcarrier's pilots
-    only; frequency correlation across subcarriers (and `spec.cp_len`, the
+    only; frequency correlation across subcarriers (and the cyclic-prefix
     bound on the channel's delay support) is not used.
     """
     y_p = np.asarray(y_p, dtype=complex)   # (n_sc, N_r, N_p)

@@ -262,7 +262,7 @@ def test_c06_structnet_beats_ls():
             y_d = y[:, :, spec.n_pilot:]
             ests = {
                 "LS": estimate_ls(y_p, grid.pilots),
-                "SN": estimate_channel_structnet(y_p, grid.pilots, sigma2, spec, cfg, ss[3]),
+                "SN": estimate_channel_structnet(y_p, grid.pilots, cfg, ss[3]),
             }
             for name, est in ests.items():
                 mse[name] += compute_mse(h.freq_response, est)
@@ -297,7 +297,7 @@ def test_c07_zero_epoch_identity():
             h, grid, y = _subframe(spec, sigma2, (707, sf, int(snr)))
             y_p = y[:, :, : spec.n_pilot]
             h_ls = estimate_ls(y_p, grid.pilots)
-            h_sn = estimate_channel_structnet(y_p, grid.pilots, sigma2, spec, cfg,
+            h_sn = estimate_channel_structnet(y_p, grid.pilots, cfg,
                                               np.random.SeedSequence((708, sf)))
             ok = ok and bool(np.array_equal(h_sn, h_ls))
     _verdict(7, "zero-epoch learner reproduces LS bit-for-bit", ok)

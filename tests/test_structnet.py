@@ -20,6 +20,7 @@ from celab.structnet import (
     IilOrder,
     StructNetModel,
     TrainConfig,
+    _BatchTrainer,
     channel_layer_forward,
     classifier_forward,
     detect_multinomial,
@@ -309,7 +310,7 @@ class TestEstimateChannel:
         y_p = y[:, :, : spec.n_pilot]
         h_ls = estimate_ls(y_p, grid.pilots)
         got = estimate_channel_structnet(
-            y_p, grid.pilots, 2.0, spec, TrainConfig(epochs=0), ss[3]
+            y_p, grid.pilots, TrainConfig(epochs=0), ss[3]
         )
         assert np.array_equal(got, h_ls)
 
@@ -322,7 +323,7 @@ class TestEstimateChannel:
         grid = generate_transmit_grid(spec, const, ss[1])
         y = apply_channel(grid, h, NoiseSpec(0.0), 0)
         got = estimate_channel_structnet(
-            y[:, :, : spec.n_pilot], grid.pilots, 0.0, spec, TrainConfig(), ss[2]
+            y[:, :, : spec.n_pilot], grid.pilots, TrainConfig(), ss[2]
         )
         # Training starts at the exact LS solution; the cross-entropy then
         # inflates the separation margin slightly, so the weights drift by a
@@ -338,8 +339,8 @@ class TestEstimateChannel:
         grid = generate_transmit_grid(spec, const, ss[1])
         y = apply_channel(grid, h, NoiseSpec(1.0), ss[2])
         cfg = TrainConfig(epochs=20)
-        a = estimate_channel_structnet(y[:, :, :2], grid.pilots, 1.0, spec, cfg, 99)
-        b = estimate_channel_structnet(y[:, :, :2], grid.pilots, 1.0, spec, cfg, 99)
+        a = estimate_channel_structnet(y[:, :, :2], grid.pilots, cfg, 99)
+        b = estimate_channel_structnet(y[:, :, :2], grid.pilots, cfg, 99)
         assert np.array_equal(a, b)
 
     def test_orthogonal_pilots_supported(self):
@@ -353,7 +354,7 @@ class TestEstimateChannel:
         grid = generate_transmit_grid(spec, const, ss[1])
         y = apply_channel(grid, h, NoiseSpec(0.5), ss[2])
         got = estimate_channel_structnet(
-            y[:, :, :2], grid.pilots, 0.5, spec, TrainConfig(epochs=5), ss[2]
+            y[:, :, :2], grid.pilots, TrainConfig(epochs=5), ss[2]
         )
         assert got.shape == (8, 2, 2)
         assert np.all(np.isfinite(got))
@@ -383,3 +384,91 @@ class TestFullForward:
         for m in (-2, 1, 3):
             shifted = model_forward(model, y + 2 * m * model.interference[0], 0.0)
             assert np.allclose(shifted, base, atol=1e-9)
+
+
+MLP_WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
+ALL_WEIGHTS = ("desired", "interference") + MLP_WEIGHTS
+
+
+def _batch_trainer(kind, n_batch, update_interference, seed=19):
+    """A fresh trainer with its own arrays; equal seeds give equal trainers."""
+    rng = np.random.default_rng(seed)
+    d, n_k, n_samples = 4, 3, 4
+    cfg = TrainConfig(iil_kind=kind, iil_window=1, lr_classifier=0.05, lr_channel=0.05,
+                      update_interference=update_interference)
+    interference = (rng.uniform(0.3, 1.5, (n_batch, n_k, d))
+                    * rng.choice([-1, 1], (n_batch, n_k, d)))
+    mlp = (
+        rng.normal(0, 0.3, (n_batch, 8, d)), rng.normal(0, 0.1, (n_batch, 8)),
+        rng.normal(0, 0.3, (n_batch, 8, 8)), rng.normal(0, 0.1, (n_batch, 8)),
+        rng.normal(0, 0.3, (n_batch, 2, 8)), rng.normal(0, 0.1, (n_batch, 2)),
+    )
+    return _BatchTrainer(
+        desired=rng.normal(0.0, 1.0, (n_batch, d)),
+        interference=interference,
+        mlp=mlp,
+        labels=np.tile([1, 0], n_samples // 2),
+        lam=rng.choice([-4.0, -2.0, 0.0, 2.0, 4.0], (n_batch, n_samples)),
+        y=rng.normal(0.0, 2.0, (n_batch, n_samples, d)),
+        cfg=cfg,
+    )
+
+
+def _reference_epochs(tr, n_epochs):
+    """The alternation with two full, independent `_grads()` calls per epoch."""
+    cfg = tr.cfg
+    for _ in range(n_epochs):
+        g = tr._grads()
+        for name in MLP_WEIGHTS:
+            w = getattr(tr, name)
+            w -= cfg.lr_classifier * g[name]
+        g = tr._grads()
+        tr.desired -= cfg.lr_channel * g["desired"]
+        if cfg.update_interference:
+            tr.interference -= cfg.lr_channel * g["interference"]
+
+
+class TestSharedForward:
+    """`run_epochs` shares one forward per epoch and must match the reference
+    alternation bit for bit."""
+
+    @staticmethod
+    def _assert_same_weights(kind, n_batch, update_interference, n_epochs=3):
+        fast = _batch_trainer(kind, n_batch, update_interference)
+        ref = _batch_trainer(kind, n_batch, update_interference)
+        start = _batch_trainer(kind, n_batch, update_interference)
+        fast.run_epochs(n_epochs)
+        _reference_epochs(ref, n_epochs)
+        for name in ALL_WEIGHTS:
+            assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+        assert not np.array_equal(fast.desired, start.desired)
+        moved = not np.array_equal(fast.interference, start.interference)
+        assert moved is update_interference
+
+    @pytest.mark.parametrize("update_interference", [True, False])
+    @pytest.mark.parametrize("n_batch", [1, 3])
+    @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
+    def test_matches_two_full_grads(self, kind, n_batch, update_interference):
+        self._assert_same_weights(kind, n_batch, update_interference)
+
+    @pytest.mark.parametrize("update_interference", [True, False])
+    def test_chunked_shift_grid(self, monkeypatch, update_interference):
+        # window 1 and 3 interference vectors: 27 grid points in 6 chunks
+        whole = _batch_trainer(IilKind.SHIFTING, 3, update_interference)._grads()
+        monkeypatch.setattr(_BatchTrainer, "_CHUNK", 5)
+        chunked = _batch_trainer(IilKind.SHIFTING, 3, update_interference)._grads()
+        for name in ALL_WEIGHTS:
+            assert np.allclose(chunked[name], whole[name], rtol=1e-12, atol=1e-14), name
+        self._assert_same_weights(IilKind.SHIFTING, 3, update_interference)
+
+    @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
+    def test_partial_grads_are_subsets_of_full(self, kind):
+        tr = _batch_trainer(kind, 2, True)
+        full = tr._grads()
+        assert set(full) == set(ALL_WEIGHTS)
+        mlp = tr._grads(tr._forward(), channel=False)
+        channel = tr._grads(tr._forward(), mlp=False)
+        assert set(mlp) == set(MLP_WEIGHTS)
+        assert set(channel) == {"desired", "interference"}
+        for name, g in {**mlp, **channel}.items():
+            assert np.array_equal(g, full[name]), name
