@@ -1,12 +1,13 @@
 """Config-driven experiment runner: SNR sweeps, IIL runtime benchmark, CSV."""
 
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import channel_sim, estimators, evaluation, signal_model, structnet
-from .errors import CelabError, ConfigError
+from .errors import CelabError, ConfigError, ResourceLimitError
 from .signal_model import PilotPattern, SubframeSpec
 from .structnet import IilKind, IilOrder, TrainConfig
 
@@ -142,7 +143,8 @@ def config_from_items(items: dict) -> ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Strict line-oriented key=value parser; unknown keys are rejected."""
+    """Strict line-oriented key=value parser; unknown and repeated keys are
+    rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -157,6 +159,8 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: malformed line '{line}'")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in items:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
         items[key] = value.strip()
     return config_from_items(items)
 
@@ -290,35 +294,25 @@ def bench_iil(n_tx_list, kinds=(IilKind.SHIFTING, IilKind.MODULO), epochs=500,
     rng = np.random.default_rng(seed)
     for n_tx in n_tx_list:
         dim = 2 * n_tx  # N_r = N_t toy setup
-        n_int = n_tx - 1
         desired = rng.normal(0.0, 0.5, (1, dim))
-        interference = rng.normal(0.0, 0.5, (1, max(n_int, 0), dim))
+        interference = rng.normal(0.0, 0.5, (1, max(n_tx - 1, 0), dim))
         x_pam = rng.choice([-3.0, -1.0, 1.0, 3.0])
         y_raw = rng.normal(0.0, 1.0, (1, 1, dim))
-        lam = np.array([[-x_pam + 1.0, -x_pam - 1.0]])
+        lam = structnet._pilot_shifts(x_pam)[None]
         labels = np.array([1, 0])
         y = np.repeat(y_raw, 2, axis=1)
         for kind in kinds:
             cfg = TrainConfig(epochs=epochs, iil_kind=kind, iil_window=m_window,
                               grid_cap=grid_cap)
-            if kind is IilKind.SHIFTING:
-                grid_size = (2 * m_window + 1) ** n_int
-                if grid_size > grid_cap:
-                    rows.append(BenchRow(n_tx=n_tx, iil=kind.value, epochs=epochs,
-                                         wall_time_s=float("nan"), skipped=True))
-                    continue
-            mlp_rng = np.random.default_rng(seed + n_tx)
-            mlp = (
-                mlp_rng.normal(0.0, 0.1, (1, cfg.n_h1, dim)),
-                np.zeros((1, cfg.n_h1)),
-                mlp_rng.normal(0.0, 0.1, (1, cfg.n_h2, cfg.n_h1)),
-                np.zeros((1, cfg.n_h2)),
-                mlp_rng.normal(0.0, 0.1, (1, 2, cfg.n_h2)),
-                np.zeros((1, 2)),
-            )
-            trainer = structnet._BatchTrainer(
-                desired.copy(), interference.copy(), mlp, labels, lam, y, cfg,
-                dtype=np.float32)
+            mlp = structnet._init_mlp(np.random.default_rng(seed + n_tx), 1, dim, cfg)
+            try:
+                trainer = structnet._BatchTrainer(
+                    desired.copy(), interference.copy(), mlp, labels, lam, y, cfg,
+                    dtype=np.float32)
+            except ResourceLimitError:
+                rows.append(BenchRow(n_tx=n_tx, iil=kind.value, epochs=epochs,
+                                     wall_time_s=float("nan"), skipped=True))
+                continue
             t0 = time.perf_counter()
             trainer.run_epochs(epochs)
             rows.append(BenchRow(n_tx=n_tx, iil=kind.value, epochs=epochs,
@@ -333,17 +327,24 @@ def _fmt(x) -> str:
 
 
 def write_csv(rows, path) -> None:
-    """Fixed-schema CSV; floats carry 10 significant digits."""
+    """Fixed-schema CSV; floats carry 10 significant digits.  The rows go to a
+    temporary file beside `path` that then replaces it, so a failed write
+    leaves any earlier file at `path` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in rows:
                 fh.write(",".join([
                     r.method, r.pilot_pattern, _fmt(r.snr_db), _fmt(r.mse),
                     _fmt(r.ber), str(r.subframes), _fmt(r.wall_time_s), str(r.seed),
                 ]) + "\n")
+        os.replace(tmp, path)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_csv(path):

@@ -134,13 +134,14 @@ def realify_channel_column(h, i: int, n_tx: int) -> np.ndarray:
 
     Streams [0, n_tx) are real-part streams ([Re; Im]); streams [n_tx, 2 n_tx)
     are imaginary-part streams ([-Im; Re], the realification of j*h).
+    A batch of columns (..., N_r) gives vectors of shape (..., 2*N_r).
     """
     h = np.asarray(h, dtype=complex)
     if not 0 <= i < 2 * n_tx:
         raise InvalidArgumentError(f"stream index {i} out of range for n_tx={n_tx}")
     if i < n_tx:
-        return np.concatenate([h.real, h.imag])
-    return np.concatenate([-h.imag, h.real])
+        return np.concatenate([h.real, h.imag], axis=-1)
+    return np.concatenate([-h.imag, h.real], axis=-1)
 
 
 def complexify_channel(desired_weights) -> np.ndarray:

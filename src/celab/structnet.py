@@ -7,9 +7,12 @@ model per subcarrier.  Training alternates between a classifier step and a
 channel-weight step on full-batch gradients of the binary cross-entropy.
 The classifier step changes only the MLP weights, so both steps of an epoch
 share one channel-layer and IIL forward.
-For throughput, `estimate_channel_structnet` trains all subcarriers of one
-stream simultaneously through the batched trainer; the single-model
-operations below are thin views of the same arithmetic.
+`estimate_channel_structnet` trains every (subcarrier, stream) model at once
+through the batched trainer, `_BatchTrainer`.  The batched code is the only
+implementation: one initializer (`_init_stream`, `_init_mlp`), one forward
+(`_modulo`, `_grid_tanh_sum`, `_mlp`) and one pilot-shift rule
+(`_pilot_shifts`).  The single-model API (`init_model`, the `*_forward`
+functions, `sample_loss`, `train_epoch`) is a view of it with a batch of one.
 
 No structure across subcarriers enters the learner: batching shares no
 weight, gradient or sample between subcarriers, so each model sees only its
@@ -29,7 +32,7 @@ from .errors import (
     ResourceLimitError,
     TrainingDivergenceError,
 )
-from .signal_model import realify_channel_column, complexify_channel
+from .signal_model import complexify_channel, realify_channel_column, realify_signal
 from .estimators import estimate_ls
 
 DEFAULT_GRID_CAP = 2_000_000
@@ -75,6 +78,10 @@ class TrainingSample:
     shift: float        # lambda, applied through the channel layer
 
 
+# Weight names of a model, in StructNetModel and _BatchTrainer alike.
+_WEIGHTS = ("desired", "interference", "w1", "b1", "w2", "b2", "w3", "b3")
+
+
 @dataclass
 class StructNetModel:
     """Per-(subcarrier, stream) learner state."""
@@ -93,45 +100,48 @@ class StructNetModel:
 
     def flatten(self) -> np.ndarray:
         """Flat numeric snapshot of all weights (for test fixtures)."""
-        parts = [self.desired, self.interference, self.w1, self.b1,
-                 self.w2, self.b2, self.w3, self.b3]
-        return np.concatenate([p.ravel() for p in parts])
+        return np.concatenate([getattr(self, name).ravel() for name in _WEIGHTS])
+
+
+def _init_mlp(rng, n_models: int, dim: int, cfg: TrainConfig) -> tuple:
+    """MLP weights (w1, b1, w2, b2, w3, b3) of n_models classifiers:
+    weights N(0, 0.1), drawn in the order w1, w2, w3; biases 0."""
+    mlp = ()
+    for shape in ((cfg.n_h1, dim), (cfg.n_h2, cfg.n_h1), (2, cfg.n_h2)):
+        mlp += (rng.normal(0.0, 0.1, (n_models,) + shape), np.zeros((n_models, shape[0])))
+    return mlp
+
+
+def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng):
+    """Initial weights of one realized stream's models, one per subcarrier.
+
+    h_ls is (n_sc, N_r, N_t).  Returns (desired (n_sc, D), interference
+    (n_sc, K, D), MLP weights), D = 2*N_r, K = 2*N_t - 1.  The desired weights
+    are the stream's realified channel column; the interference weights are
+    the other realized streams' columns, ordered per cfg.iil_order on each
+    subcarrier separately.
+    """
+    n_sc, n_rx, n_tx = h_ls.shape
+    desired = realify_channel_column(h_ls[:, :, stream % n_tx], stream, n_tx)
+    interference = np.stack([realify_channel_column(h_ls[:, :, j % n_tx], j, n_tx)
+                             for j in range(2 * n_tx) if j != stream], axis=1)
+    if cfg.iil_order is IilOrder.DESCENDING_STRENGTH:
+        order = np.argsort(-np.sum(interference**2, axis=2), axis=1, kind="stable")
+        interference = np.take_along_axis(interference, order[:, :, None], axis=1)
+    return desired, interference, _init_mlp(rng, n_sc, 2 * n_rx, cfg)
 
 
 def init_model(h_ls: np.ndarray, stream: int, cfg: TrainConfig, seed) -> StructNetModel:
-    """Initialize a stream's model from the LS estimate.
+    """Initialize a stream's model from the LS estimate (N_r, N_t).
 
     The desired weights are the stream's realified channel column; the
     interference weights are the realified columns of all other realized
     streams, ordered per cfg.iil_order.  MLP weights are N(0, 0.1), biases 0.
     """
-    h_ls = np.asarray(h_ls, dtype=complex)
-    n_rx, n_tx = h_ls.shape
-    if not 0 <= stream < 2 * n_tx:
-        raise InvalidArgumentError(f"stream {stream} out of range")
-    desired = realify_channel_column(h_ls[:, stream % n_tx], stream, n_tx)
-    others = [j for j in range(2 * n_tx) if j != stream]
-    interference = np.stack(
-        [realify_channel_column(h_ls[:, j % n_tx], j, n_tx) for j in others]
-    )
-    if cfg.iil_order is IilOrder.DESCENDING_STRENGTH:
-        order = np.argsort(-np.sum(interference**2, axis=1), kind="stable")
-        interference = interference[order]
-    rng = np.random.default_rng(seed)
-    d = 2 * n_rx
-    return StructNetModel(
-        desired=desired,
-        interference=interference,
-        w1=rng.normal(0.0, 0.1, (cfg.n_h1, d)),
-        b1=np.zeros(cfg.n_h1),
-        w2=rng.normal(0.0, 0.1, (cfg.n_h2, cfg.n_h1)),
-        b2=np.zeros(cfg.n_h2),
-        w3=rng.normal(0.0, 0.1, (2, cfg.n_h2)),
-        b3=np.zeros(2),
-        iil_kind=cfg.iil_kind,
-        iil_window=cfg.iil_window,
-        eps_mod=cfg.eps_mod,
-    )
+    h_ls = np.asarray(h_ls, dtype=complex)[None]
+    desired, interference, mlp = _init_stream(h_ls, stream, cfg, np.random.default_rng(seed))
+    return StructNetModel(*(w[0] for w in (desired, interference, *mlp)),
+                          iil_kind=cfg.iil_kind, iil_window=cfg.iil_window, eps_mod=cfg.eps_mod)
 
 
 def channel_layer_forward(model: StructNetModel, y_raw, shift: float) -> np.ndarray:
@@ -152,25 +162,15 @@ def shift_grid(n_vectors: int, m_window: int, grid_cap: int = DEFAULT_GRID_CAP) 
     return np.stack(axes, axis=-1).reshape(size, n_vectors)
 
 
-def iil_shifting_forward(z, interference, m_window: int,
-                         grid_cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
-    """Truncated periodic sum: sum over the shift grid of tanh(z + 2 m . h)."""
-    z = np.asarray(z, dtype=float)
-    interference = np.asarray(interference, dtype=float).reshape(-1, z.shape[-1])
-    grid = shift_grid(interference.shape[0], m_window, grid_cap)
-    shifts = 2.0 * grid @ interference  # (G, D)
-    return np.tanh(z[..., None, :] + shifts).sum(axis=-2)
-
-
-def iil_modulo_forward(z, interference, eps: float):
-    """Sequential elementwise modulo by 2*h_j; returns (output, quotient list).
-
-    Entries of h_j with magnitude below eps are skipped (quotient 0).
-    """
-    z = np.asarray(z, dtype=float).copy()
-    interference = np.asarray(interference, dtype=float).reshape(-1, z.shape[-1])
+# -- the forward, on batches: s and z are (B, S, D), interference (B, K, D) --
+def _modulo(s, interference, eps: float):
+    """Sequential elementwise modulo by 2*h_k; returns (output, per-vector
+    quotients).  Entries of h_k with magnitude below eps are skipped
+    (quotient 0)."""
+    z = s
     alphas = []
-    for h in interference:
+    for k in range(interference.shape[1]):
+        h = interference[:, k, :][:, None, :]  # (B, 1, D)
         mask = np.abs(h) >= eps
         denom = np.where(mask, 2.0 * h, 1.0)
         alpha = np.where(mask, np.floor(z / denom), 0.0)
@@ -179,30 +179,69 @@ def iil_modulo_forward(z, interference, eps: float):
     return z, alphas
 
 
+def _grid_tanh_sum(s, interference, grid, chunk: int):
+    """Sum over the shift grid (G, K) of tanh(s + 2 m . h), `chunk` grid
+    points at a time; returns (output, per-chunk tanh arrays (B, S, Gc, D))."""
+    z = np.zeros_like(s)
+    tanhs = []
+    for start in range(0, grid.shape[0], chunk):
+        shifts = 2.0 * np.matmul(grid[start:start + chunk], interference)  # (B, Gc, D)
+        t = np.tanh(s[:, :, None, :] + shifts[:, None, :, :])
+        z += t.sum(axis=2)
+        tanhs.append(t)
+    return z, tanhs
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _mlp(z, w1, b1, w2, b2, w3, b3):
+    """Both tanh hidden layers and the softmax output: (a1, a2, p)."""
+    a1 = np.tanh(z @ w1.swapaxes(1, 2) + b1[:, None, :])
+    a2 = np.tanh(a1 @ w2.swapaxes(1, 2) + b2[:, None, :])
+    return a1, a2, _softmax(a2 @ w3.swapaxes(1, 2) + b3[:, None, :])
+
+
+def _pilot_shifts(x_pam) -> np.ndarray:
+    """Channel-layer shifts of the two binary samples of each PAM pilot level
+    x: -x+1 (label +1) then -x-1 (label -1), along a new last axis."""
+    x = np.asarray(x_pam, dtype=float)
+    return np.stack([-x + 1.0, -x - 1.0], axis=-1)
+
+
+# -- single-model views: one model is a batch of one -----------------------
+def iil_shifting_forward(z, interference, m_window: int,
+                         grid_cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
+    """Truncated periodic sum: sum over the shift grid of tanh(z + 2 m . h)."""
+    z = np.asarray(z, dtype=float)
+    d = z.shape[-1]
+    interference = np.asarray(interference, dtype=float).reshape(1, -1, d)
+    grid = shift_grid(interference.shape[1], m_window, grid_cap).astype(float)
+    out, _ = _grid_tanh_sum(z.reshape(1, -1, d), interference, grid, _BatchTrainer._CHUNK)
+    return out.reshape(z.shape)
+
+
+def iil_modulo_forward(z, interference, eps: float):
+    """Sequential elementwise modulo by 2*h_j; returns (output, quotient list).
+
+    Entries of h_j with magnitude below eps are skipped (quotient 0).
+    """
+    z = np.array(z, dtype=float)
+    d = z.shape[-1]
+    interference = np.asarray(interference, dtype=float).reshape(1, -1, d)
+    out, alphas = _modulo(z.reshape(1, -1, d), interference, eps)
+    return out.reshape(z.shape), [a.reshape(z.shape) for a in alphas]
+
+
 def classifier_forward(model: StructNetModel, z) -> np.ndarray:
     """Two-class probabilities (index 0: label -1, index 1: label +1)."""
     z = np.asarray(z, dtype=float)
-    a1 = np.tanh(z @ model.w1.T + model.b1)
-    a2 = np.tanh(a1 @ model.w2.T + model.b2)
-    return _softmax(a2 @ model.w3.T + model.b3)
-
-
-def iil_forward(model: StructNetModel, z) -> np.ndarray:
-    if model.iil_kind is IilKind.MODULO:
-        out, _ = iil_modulo_forward(z, model.interference, model.eps_mod)
-        return out
-    return iil_shifting_forward(z, model.interference, model.iil_window)
-
-
-def model_forward(model: StructNetModel, y_raw, shift: float) -> np.ndarray:
-    """Full pipeline: channel layer -> IIL -> binary classifier probabilities."""
-    return classifier_forward(model, iil_forward(model, channel_layer_forward(model, y_raw, shift)))
+    mlp = (getattr(model, name)[None] for name in _WEIGHTS[2:])
+    _, _, p = _mlp(z.reshape(1, -1, z.shape[-1]), *mlp)
+    return p.reshape(z.shape[:-1] + (2,))
 
 
 def make_training_samples(pilot_pairs) -> list:
@@ -217,18 +256,10 @@ def make_training_samples(pilot_pairs) -> list:
         if x != round(x) or int(round(x)) % 2 == 0:
             raise InvalidArgumentError(f"{x_pam} is not a valid PAM level")
         y = np.asarray(y_raw, dtype=float)
-        samples.append(TrainingSample(label=+1, y_raw=y, shift=-x + 1.0))
-        samples.append(TrainingSample(label=-1, y_raw=y, shift=-x - 1.0))
+        up, down = _pilot_shifts(x)
+        samples.append(TrainingSample(label=+1, y_raw=y, shift=float(up)))
+        samples.append(TrainingSample(label=-1, y_raw=y, shift=float(down)))
     return samples
-
-
-def sample_loss(model: StructNetModel, samples) -> float:
-    """Mean binary cross-entropy of the current model over the samples."""
-    total = 0.0
-    for s in samples:
-        p = model_forward(model, s.y_raw, s.shift)
-        total -= np.log(p[1] if s.label > 0 else p[0])
-    return float(total / len(samples))
 
 
 class _BatchTrainer:
@@ -253,7 +284,6 @@ class _BatchTrainer:
     def __init__(self, desired, interference, mlp, labels, lam, y, cfg: TrainConfig,
                  dtype=np.float64):
         self.cfg = cfg
-        self.dtype = dtype
         self.desired = np.ascontiguousarray(desired, dtype=dtype)       # (B, D)
         self.interference = np.ascontiguousarray(interference, dtype=dtype)  # (B, K, D)
         self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = (
@@ -262,7 +292,7 @@ class _BatchTrainer:
         self.labels = np.asarray(labels, dtype=int)                     # (S,) class indices
         self.lam = np.ascontiguousarray(lam, dtype=dtype)               # (B, S)
         self.y = np.ascontiguousarray(y, dtype=dtype)                   # (B, S, D)
-        self.n_batch, self.n_samples, self.dim = self.y.shape
+        self.n_samples = self.y.shape[1]
         if cfg.iil_kind is IilKind.SHIFTING:
             self.grid = shift_grid(self.interference.shape[1], cfg.iil_window,
                                    cfg.grid_cap).astype(dtype)
@@ -274,16 +304,7 @@ class _BatchTrainer:
 
     def _iil_modulo(self, s):
         """Sequential modulo; returns (output, per-vector quotients)."""
-        z = s
-        alphas = []
-        for k in range(self.interference.shape[1]):
-            h = self.interference[:, k, :][:, None, :]  # (B, 1, D)
-            mask = np.abs(h) >= self.cfg.eps_mod
-            denom = np.where(mask, 2.0 * h, 1.0)
-            alpha = np.where(mask, np.floor(z / denom), 0.0)
-            z = z - 2.0 * h * alpha
-            alphas.append(alpha)
-        return z, alphas
+        return _modulo(s, self.interference, self.cfg.eps_mod)
 
     def _iil_shifting(self, s):
         """Sum over the shift grid; returns (output, per-chunk tanh arrays).
@@ -291,15 +312,7 @@ class _BatchTrainer:
         The tanh arrays, (B, S, Gc, D) each, are the whole layer's backward
         cache: together they hold G*B*S*D values.
         """
-        z = np.zeros_like(s)
-        tanhs = []
-        for start in range(0, self.grid.shape[0], self._CHUNK):
-            grid_c = self.grid[start:start + self._CHUNK]  # (Gc, K)
-            shifts = 2.0 * np.matmul(grid_c, self.interference)  # (B, Gc, D)
-            t = np.tanh(s[:, :, None, :] + shifts[:, None, :, :])  # (B, S, Gc, D)
-            z += t.sum(axis=2)
-            tanhs.append(t)
-        return z, tanhs
+        return _grid_tanh_sum(s, self.interference, self.grid, self._CHUNK)
 
     def _iil_shifting_backward(self, tanhs, dz):
         """Gradients w.r.t. the layer input and the interference weights.
@@ -318,10 +331,7 @@ class _BatchTrainer:
         return ds, g_int
 
     def _mlp_forward(self, z):
-        a1 = np.tanh(z @ self.w1.swapaxes(1, 2) + self.b1[:, None, :])
-        a2 = np.tanh(a1 @ self.w2.swapaxes(1, 2) + self.b2[:, None, :])
-        logits = a2 @ self.w3.swapaxes(1, 2) + self.b3[:, None, :]
-        return a1, a2, _softmax(logits)
+        return _mlp(z, self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
 
     def _forward(self):
         """Channel layer and IIL: (z, IIL backward cache) for the current weights."""
@@ -396,12 +406,9 @@ class _BatchTrainer:
             # the heap and fault it back in: ~500 page faults per epoch at
             # 64 subcarriers, 15-25% of the epoch.
             g_mlp = self._grads(fwd, channel=False)
-            self.w1 -= cfg.lr_classifier * g_mlp["w1"]
-            self.b1 -= cfg.lr_classifier * g_mlp["b1"]
-            self.w2 -= cfg.lr_classifier * g_mlp["w2"]
-            self.b2 -= cfg.lr_classifier * g_mlp["b2"]
-            self.w3 -= cfg.lr_classifier * g_mlp["w3"]
-            self.b3 -= cfg.lr_classifier * g_mlp["b3"]
+            for name in _WEIGHTS[2:]:
+                w = getattr(self, name)
+                w -= cfg.lr_classifier * g_mlp[name]
             g = self._grads(fwd, mlp=False)
             del fwd  # the next epoch's forward must not overlap this cache
             self.desired -= cfg.lr_channel * g["desired"]
@@ -409,36 +416,52 @@ class _BatchTrainer:
                 self.interference -= cfg.lr_channel * g["interference"]
 
 
-def _trainer_from_model(model: StructNetModel, samples, cfg: TrainConfig) -> _BatchTrainer:
-    lam = np.array([[s.shift for s in samples]])
-    y = np.stack([s.y_raw for s in samples])[None, :, :]
-    labels = np.array([1 if s.label > 0 else 0 for s in samples])
+def _trainer_from_model(model: StructNetModel, samples, cfg: TrainConfig = None) -> _BatchTrainer:
+    """A batch-of-one trainer over the model's weights and the samples; the
+    IIL settings are the model's, and a given cfg must agree with them."""
+    if not samples:
+        raise InvalidArgumentError("at least one training sample is required")
+    iil = {"iil_kind": model.iil_kind, "iil_window": model.iil_window,
+           "eps_mod": model.eps_mod}
+    if cfg is None:
+        cfg = TrainConfig(**iil)
+    elif any(getattr(cfg, key) != value for key, value in iil.items()):
+        raise InvalidArgumentError(f"config IIL settings differ from the model's {iil}")
     return _BatchTrainer(
         desired=model.desired[None, :],
         interference=model.interference[None, :, :],
-        mlp=(model.w1[None], model.b1[None], model.w2[None],
-             model.b2[None], model.w3[None], model.b3[None]),
-        labels=labels,
-        lam=lam,
-        y=y,
+        mlp=tuple(getattr(model, name)[None] for name in _WEIGHTS[2:]),
+        labels=np.array([1 if s.label > 0 else 0 for s in samples]),
+        lam=np.array([[s.shift for s in samples]]),
+        y=np.stack([s.y_raw for s in samples])[None, :, :],
         cfg=cfg,
     )
+
+
+def model_forward(model: StructNetModel, y_raw, shift: float) -> np.ndarray:
+    """Full pipeline: channel layer -> IIL -> binary classifier probabilities."""
+    y = np.asarray(y_raw, dtype=float)
+    rows = y.reshape(-1, y.shape[-1])
+    trainer = _trainer_from_model(model, [TrainingSample(+1, r, shift) for r in rows])
+    _, _, p = trainer._mlp_forward(trainer._forward()[0])
+    return p[0].reshape(y.shape[:-1] + (2,))
+
+
+def sample_loss(model: StructNetModel, samples) -> float:
+    """Mean binary cross-entropy of the current model over the samples."""
+    return float(_trainer_from_model(model, samples).loss()[0])
 
 
 def train_epoch(model: StructNetModel, samples, cfg: TrainConfig) -> float:
     """One alternating epoch (classifier step, then channel step) in place.
 
+    cfg supplies the learning rates; its IIL settings must be the model's.
     Returns the post-update mean cross-entropy loss.
     """
-    if not samples:
-        raise InvalidArgumentError("training requires at least one sample")
     trainer = _trainer_from_model(model, samples, cfg)
     trainer.run_epochs(1)
-    model.desired = trainer.desired[0]
-    model.interference = trainer.interference[0]
-    model.w1, model.b1 = trainer.w1[0], trainer.b1[0]
-    model.w2, model.b2 = trainer.w2[0], trainer.b2[0]
-    model.w3, model.b3 = trainer.w3[0], trainer.b3[0]
+    for name in _WEIGHTS:
+        setattr(model, name, getattr(trainer, name)[0])
     loss = float(trainer.loss()[0])
     if not np.isfinite(loss):
         raise TrainingDivergenceError(f"non-finite training loss ({loss})")
@@ -453,7 +476,7 @@ def detect_multinomial(model: StructNetModel, y, posterior=None) -> np.ndarray:
     """
     if posterior is None:
         def posterior(z):
-            return classifier_forward(model, iil_forward(model, z))
+            return model_forward(model, z, 0.0)
     ratios = []
     for shift in (2.0, 0.0, -2.0):
         p = np.asarray(posterior(channel_layer_forward(model, y, shift)), dtype=float)
@@ -479,15 +502,9 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed) -> np.ndarray:
     """
     y_p = np.asarray(y_p, dtype=complex)   # (n_sc, N_r, N_p)
     x_p = np.asarray(x_p, dtype=complex)   # (n_sc, N_t, N_p)
-    n_sc, n_rx, _ = y_p.shape
+    n_sc = y_p.shape[0]
     n_tx = x_p.shape[1]
     h_ls = estimate_ls(y_p, x_p)           # (n_sc, N_r, N_t)
-    def stream_column(j):
-        col = h_ls[:, :, j % n_tx]
-        if j < n_tx:
-            return np.concatenate([col.real, col.imag], axis=1)
-        return np.concatenate([-col.imag, col.real], axis=1)
-
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = ss.spawn(2 * n_tx)
 
@@ -506,46 +523,20 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed) -> np.ndarray:
         elif len(slots) != n_pairs_ref:
             raise InvalidArgumentError("antennas differ in active pilot slot count")
         x_vals = x_p[:, antenna, slots].real if i < n_tx else x_p[:, antenna, slots].imag
-        y_slots = np.transpose(y_p[:, :, slots], (0, 2, 1))  # (n_sc, P, N_r)
-        y_real = np.concatenate([y_slots.real, y_slots.imag], axis=2)  # (n_sc, P, D)
-
-        lam = np.empty((n_sc, 2 * len(slots)))
-        lam[:, 0::2] = -x_vals + 1.0
-        lam[:, 1::2] = -x_vals - 1.0
+        y_real = realify_signal(np.transpose(y_p[:, :, slots], (0, 2, 1)))  # (n_sc, P, D)
+        lam = _pilot_shifts(x_vals).reshape(n_sc, -1)
         y_samples = np.repeat(y_real, 2, axis=1)
+        desired, interference, mlp = _init_stream(h_ls, i, cfg,
+                                                  np.random.default_rng(seeds[i]))
+        per_stream.append((desired, interference, *mlp, lam, y_samples))
 
-        desired = stream_column(i)
-        interference = np.stack([stream_column(j) for j in range(2 * n_tx) if j != i], axis=1)
-        if cfg.iil_order is IilOrder.DESCENDING_STRENGTH:
-            order = np.argsort(-np.sum(interference**2, axis=2), axis=1, kind="stable")
-            interference = np.take_along_axis(interference, order[:, :, None], axis=1)
-
-        rng = np.random.default_rng(seeds[i])
-        d = 2 * n_rx
-        mlp = (
-            rng.normal(0.0, 0.1, (n_sc, cfg.n_h1, d)),
-            np.zeros((n_sc, cfg.n_h1)),
-            rng.normal(0.0, 0.1, (n_sc, cfg.n_h2, cfg.n_h1)),
-            np.zeros((n_sc, cfg.n_h2)),
-            rng.normal(0.0, 0.1, (n_sc, 2, cfg.n_h2)),
-            np.zeros((n_sc, 2)),
-        )
-        per_stream.append((desired, interference, mlp, lam, y_samples))
-
-    labels = np.tile([1, 0], n_pairs_ref)
-    trainer = _BatchTrainer(
-        desired=np.concatenate([p[0] for p in per_stream]),
-        interference=np.concatenate([p[1] for p in per_stream]),
-        mlp=tuple(np.concatenate([p[2][k] for p in per_stream]) for k in range(6)),
-        labels=labels,
-        lam=np.concatenate([p[3] for p in per_stream]),
-        y=np.concatenate([p[4] for p in per_stream]),
-        cfg=cfg,
-    )
+    # Streams stacked along the batch axis: stream i owns models [i*n_sc, (i+1)*n_sc).
+    desired, interference, *mlp, lam, y = (np.concatenate(a) for a in zip(*per_stream))
+    trainer = _BatchTrainer(desired, interference, mlp, np.tile([1, 0], n_pairs_ref),
+                            lam, y, cfg)
     if cfg.epochs > 0:
         trainer.run_epochs(cfg.epochs)
-        losses = trainer.loss()
-        if not np.all(np.isfinite(losses)):
+        if not np.all(np.isfinite(trainer.loss())):
             raise TrainingDivergenceError("non-finite loss during channel training")
 
     # (n_sc, N_r, N_t) from the 2*N_t per-stream weight sets.

@@ -60,6 +60,11 @@ class TestParseConfig:
         cfg = parse_config(_write_config(tmp_path, "# comment\n\nn_sc=16\n"))
         assert cfg.spec.n_sc == 16
 
+    def test_duplicate_key(self, tmp_path):
+        path = _write_config(tmp_path, "n_sc=16\n# comment\nseed=1\nn_sc=32\n")
+        with pytest.raises(ConfigError, match=f"^{path}:4: duplicate key 'n_sc'$"):
+            parse_config(path)
+
     def test_missing_file(self):
         with pytest.raises(IOError):
             parse_config("/nonexistent/exp.cfg")
@@ -141,6 +146,19 @@ class TestCsv:
         assert back.snr_db == row.snr_db
         assert math.isclose(back.mse, row.mse, rel_tol=1e-9)
         assert back.seed == row.seed
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        row = ResultRow(
+            method="LS", pilot_pattern="orthogonal", snr_db=10.0,
+            mse=0.5, ber=0.01, subframes=5, wall_time_s=1.5, seed=42,
+        )
+        path = tmp_path / "out.csv"
+        write_csv([row, row], str(path))
+        before = path.read_text()
+        with pytest.raises(AttributeError):
+            write_csv([row, object()], str(path))
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

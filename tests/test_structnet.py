@@ -21,6 +21,7 @@ from celab.structnet import (
     StructNetModel,
     TrainConfig,
     _BatchTrainer,
+    _init_stream,
     channel_layer_forward,
     classifier_forward,
     detect_multinomial,
@@ -86,6 +87,25 @@ class TestInitModel:
     def test_stream_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
             init_model(np.eye(2, dtype=complex), 4, TrainConfig(), 0)
+
+    @pytest.mark.parametrize("order", [IilOrder.DESCENDING_STRENGTH, IilOrder.GIVEN_ORDER])
+    def test_batched_init_orders_each_subcarrier(self, order):
+        # Column scales per subcarrier: which antenna is stronger changes
+        # from subcarrier to subcarrier, so a shared order would be wrong.
+        rng = np.random.default_rng(20)
+        scales = np.array([[3.0, 0.5], [0.5, 3.0], [1.0, 2.0], [2.0, 1.0]])
+        h_ls = (rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))) \
+            * scales[:, None, :]
+        strongest = np.argmax(np.sum(np.abs(h_ls) ** 2, axis=1), axis=1)
+        assert len(set(strongest)) > 1
+        cfg = TrainConfig(iil_order=order)
+        for stream in range(4):
+            desired, interference, _ = _init_stream(h_ls, stream, cfg,
+                                                    np.random.default_rng(0))
+            for k in range(4):
+                model = init_model(h_ls[k], stream, cfg, 0)
+                assert np.array_equal(desired[k], model.desired)
+                assert np.array_equal(interference[k], model.interference)
 
 
 class TestChannelLayer:
@@ -274,6 +294,18 @@ class TestTrainEpoch:
         model, _ = self._setup()
         with pytest.raises(InvalidArgumentError):
             train_epoch(model, [], TrainConfig())
+        with pytest.raises(InvalidArgumentError):
+            sample_loss(model, [])
+
+    @pytest.mark.parametrize("setting", [{"iil_kind": IilKind.MODULO}, {"iil_window": 2},
+                                         {"eps_mod": 1e-3}])
+    def test_config_iil_must_match_model(self, setting):
+        model, samples = self._setup(IilKind.SHIFTING)
+        before = model.flatten()
+        cfg = TrainConfig(**{"iil_kind": IilKind.SHIFTING, **setting})
+        with pytest.raises(InvalidArgumentError):
+            train_epoch(model, samples, cfg)
+        assert np.array_equal(model.flatten(), before)
 
 
 class TestDetectMultinomial:
