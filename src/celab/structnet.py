@@ -14,6 +14,14 @@ implementation: one initializer (`_init_stream`, `_init_mlp`), one forward
 (`_pilot_shifts`).  The single-model API (`init_model`, the `*_forward`
 functions, `sample_loss`, `train_epoch`) is a view of it with a batch of one.
 
+Precision.  `estimate_channel_structnet` trains in float32 around a float64
+anchor, the LS estimate: the channel layer's input at the anchor,
+y + lambda * h_LS, is formed in float64, the trainer's desired weights hold
+only the change from h_LS (starting at 0), and the estimate h_LS + change is
+summed in float64, so zero epochs return LS exactly.  The single-model view
+keeps the trainer's float64 default, since its gradients are checked against
+finite differences, which float32 rounding would swamp.
+
 No structure across subcarriers enters the learner: batching shares no
 weight, gradient or sample between subcarriers, so each model sees only its
 own subcarrier's pilots.  With as many pilot symbols as transmit antennas
@@ -193,9 +201,18 @@ def _grid_tanh_sum(s, interference, grid, chunk: int):
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Two-class softmax over the last axis, as the logistic of the score
+    difference d = s1 - s0: the larger class gets 1 / (1 + e) and the smaller
+    e / (1 + e), with e = exp(-|d|) <= 1, so nothing overflows."""
+    d = scores[..., 1] - scores[..., 0]
+    e = np.exp(-np.abs(d))
+    den = 1.0 + e
+    big, small = 1.0 / den, e / den
+    up = d >= 0
+    p = np.empty_like(scores)
+    p[..., 0] = np.where(up, small, big)
+    p[..., 1] = np.where(up, big, small)
+    return p
 
 
 def _mlp(z, w1, b1, w2, b2, w3, b3):
@@ -345,7 +362,7 @@ class _BatchTrainer:
         z, _ = self._forward()
         _, _, p = self._mlp_forward(z)
         picked = p[:, np.arange(self.n_samples), self.labels]
-        return -np.log(np.maximum(picked, 1e-300)).mean(axis=1)
+        return -np.log(np.maximum(picked, np.finfo(picked.dtype).tiny)).mean(axis=1)
 
     # -- backward --------------------------------------------------------
 
@@ -493,8 +510,12 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed) -> np.ndarray:
 
     Initializes every stream's weights from the LS estimate, trains
     cfg.epochs alternating epochs per (subcarrier, stream), then reassembles
-    the complex channel from the desired weights.  With cfg.epochs == 0 the
-    output reproduces the LS estimate exactly.
+    the complex channel from the desired weights.
+
+    Training runs in float32 in residual form: the desired weights learn the
+    change from the LS anchor, which stays in float64 in the channel layer's
+    input and in the readout, anchor + change.  With cfg.epochs == 0 the
+    change is 0 and the output reproduces the LS estimate exactly.
 
     Each (subcarrier, stream) model trains on its own subcarrier's pilots
     only; frequency correlation across subcarriers (and the cyclic-prefix
@@ -531,14 +552,15 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed) -> np.ndarray:
         per_stream.append((desired, interference, *mlp, lam, y_samples))
 
     # Streams stacked along the batch axis: stream i owns models [i*n_sc, (i+1)*n_sc).
-    desired, interference, *mlp, lam, y = (np.concatenate(a) for a in zip(*per_stream))
-    trainer = _BatchTrainer(desired, interference, mlp, np.tile([1, 0], n_pairs_ref),
-                            lam, y, cfg)
+    anchor, interference, *mlp, lam, y = (np.concatenate(a) for a in zip(*per_stream))
+    trainer = _BatchTrainer(np.zeros_like(anchor), interference, mlp,
+                            np.tile([1, 0], n_pairs_ref), lam,
+                            y + lam[:, :, None] * anchor[:, None, :], cfg, dtype=np.float32)
     if cfg.epochs > 0:
         trainer.run_epochs(cfg.epochs)
         if not np.all(np.isfinite(trainer.loss())):
             raise TrainingDivergenceError("non-finite loss during channel training")
 
     # (n_sc, N_r, N_t) from the 2*N_t per-stream weight sets.
-    desired_all = [trainer.desired[i * n_sc:(i + 1) * n_sc] for i in range(2 * n_tx)]
-    return complexify_channel(desired_all)
+    desired = anchor + trainer.desired
+    return complexify_channel([desired[i * n_sc:(i + 1) * n_sc] for i in range(2 * n_tx)])

@@ -126,6 +126,18 @@ class TestAnalyticCorrelation:
         emp = (h @ h.conj().T) / h.shape[1]
         assert np.max(np.abs(emp - analytic_freq_correlation(pdp, n_sc))) < 0.02
 
+    @pytest.mark.parametrize("n_sc", [8, 64])
+    def test_matches_double_sum(self, n_sc):
+        pdp = PowerDelayProfile(delays=[0, 2, 3, 7], powers=[0.4, 0.3, 0.2, 0.1])
+        want = np.zeros((n_sc, n_sc), dtype=complex)
+        for k in range(n_sc):
+            for l in range(n_sc):
+                for tau, power in zip(pdp.delays, pdp.powers):
+                    want[k, l] += power * np.exp(-2j * np.pi * tau * (k - l) / n_sc)
+        got = analytic_freq_correlation(pdp, n_sc)
+        assert got.shape == (n_sc, n_sc)
+        assert np.max(np.abs(got - want)) < 1e-12
+
 
 class TestApplyChannel:
     @staticmethod

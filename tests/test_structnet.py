@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from celab import structnet
 from celab.channel_sim import NoiseSpec, apply_channel, exponential_pdp, sample_channel
 from celab.errors import (
     DegenerateRatioError,
@@ -22,6 +23,8 @@ from celab.structnet import (
     TrainConfig,
     _BatchTrainer,
     _init_stream,
+    _softmax,
+    _trainer_from_model,
     channel_layer_forward,
     classifier_forward,
     detect_multinomial,
@@ -230,6 +233,19 @@ class TestClassifier:
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p > 0)
 
+    def test_softmax_matches_generic_formula(self):
+        rng = np.random.default_rng(21)
+        scores = np.concatenate([
+            rng.normal(0.0, 5.0, (50, 2)),
+            [[800.0, -800.0], [-800.0, 800.0], [800.0, 800.0], [-800.0, -800.0],
+             [800.0, 799.0], [0.0, 0.0]],
+        ]).reshape(4, 14, 2)
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        want = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+        got = _softmax(scores)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
 
 class TestTrainingSamples:
     def test_shifts_for_minus_three(self):
@@ -375,6 +391,34 @@ class TestEstimateChannel:
         b = estimate_channel_structnet(y[:, :, :2], grid.pilots, cfg, 99)
         assert np.array_equal(a, b)
 
+    def test_float32_change_agrees_with_float64(self, monkeypatch):
+        # The learner trains in float32 around the float64 LS anchor; its
+        # change from LS must follow the same training run in float64.
+        spec = SubframeSpec(n_sc=16)
+        const = build_constellation(16)
+        ss = np.random.SeedSequence(14).spawn(3)
+        h = sample_channel(exponential_pdp(8, 3.0), spec, ss[0])
+        grid = generate_transmit_grid(spec, const, ss[1])
+        y_p = apply_channel(grid, h, NoiseSpec(2.0), ss[2])[:, :, : spec.n_pilot]
+        h_ls = estimate_ls(y_p, grid.pilots)
+        cfg = TrainConfig(epochs=200)
+        delta32 = estimate_channel_structnet(y_p, grid.pilots, cfg, 5) - h_ls
+
+        class Float64Trainer(_BatchTrainer):
+            def __init__(self, *args, dtype=None, **kwargs):
+                super().__init__(*args, dtype=np.float64, **kwargs)
+
+        monkeypatch.setattr(structnet, "_BatchTrainer", Float64Trainer)
+        delta64 = estimate_channel_structnet(y_p, grid.pilots, cfg, 5) - h_ls
+        assert np.linalg.norm(delta64) > 1e-3 * np.linalg.norm(h_ls)
+        assert np.linalg.norm(delta32 - delta64) <= 0.02 * np.linalg.norm(delta64)
+
+    def test_single_model_view_stays_float64(self):
+        model, samples = TestTrainEpoch._setup()
+        trainer = _trainer_from_model(model, samples)
+        for name in ALL_WEIGHTS + ("lam", "y"):
+            assert getattr(trainer, name).dtype == np.float64, name
+
     def test_orthogonal_pilots_supported(self):
         from celab.signal_model import PilotPattern
 
@@ -422,7 +466,7 @@ MLP_WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 ALL_WEIGHTS = ("desired", "interference") + MLP_WEIGHTS
 
 
-def _batch_trainer(kind, n_batch, update_interference, seed=19):
+def _batch_trainer(kind, n_batch, update_interference, seed=19, dtype=np.float64):
     """A fresh trainer with its own arrays; equal seeds give equal trainers."""
     rng = np.random.default_rng(seed)
     d, n_k, n_samples = 4, 3, 4
@@ -443,6 +487,7 @@ def _batch_trainer(kind, n_batch, update_interference, seed=19):
         lam=rng.choice([-4.0, -2.0, 0.0, 2.0, 4.0], (n_batch, n_samples)),
         y=rng.normal(0.0, 2.0, (n_batch, n_samples, d)),
         cfg=cfg,
+        dtype=dtype,
     )
 
 
@@ -504,3 +549,16 @@ class TestSharedForward:
         assert set(channel) == {"desired", "interference"}
         for name, g in {**mlp, **channel}.items():
             assert np.array_equal(g, full[name]), name
+
+
+class TestLoss:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
+    def test_saturated_classifier_loss_is_finite(self, kind, dtype):
+        # Scores of ~1e4 drive the picked probability below the smallest
+        # normal number of either precision; the clamp keeps the loss finite.
+        tr = _batch_trainer(kind, 3, True, dtype=dtype)
+        tr.w3 *= 1e5
+        loss = tr.loss()
+        assert loss.dtype == dtype
+        assert np.all(np.isfinite(loss)) and np.all(loss > 10.0)
