@@ -61,14 +61,16 @@ def exponential_pdp(num_taps: int, decay: float) -> PowerDelayProfile:
     return PowerDelayProfile(delays=np.arange(num_taps), powers=powers / powers.sum())
 
 
-def _dft_vectors(pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
+def dft_vectors(pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
+    """U[c, p] = exp(-j 2 pi delay_p c / n_sc), so that the analytic frequency
+    correlation is U diag(powers) U^H."""
     c = np.arange(n_sc)
     return np.exp(-2j * np.pi * np.outer(c, pdp.delays) / n_sc)  # [n_sc x L]
 
 
 def taps_to_freq_response(taps: np.ndarray, pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
     """H(c) = sum_p taps[..., p] * exp(-j 2 pi delay_p c / n_sc)."""
-    return np.einsum("cl,rtl->crt", _dft_vectors(pdp, n_sc), taps)
+    return np.einsum("cl,rtl->crt", dft_vectors(pdp, n_sc), taps)
 
 
 def sample_channel(pdp: PowerDelayProfile, spec: SubframeSpec, seed) -> ChannelRealization:

@@ -3,6 +3,20 @@
 The LMMSE filter uses the per-coefficient LS error variance
 sigma_eff^2 = sigma^2 / E_p as its regularizer, which generalizes the
 unit-energy-pilot form to the unnormalized QAM constellation.
+
+Correlations are held factored, C = a*I + U W U^H with U of n x k and W of
+k x k.  The filter C (C + s I)^-1 then has the same form,
+
+    a/b * I + U [s/b * W (b I_k + U^H U W)^-1] U^H,   b = a + s,
+
+(the push-through identity), so building it costs one k x k solve plus
+O(n k^2) for U^H U, and applying it costs O(n k) per vector.  GenieLMMSE's
+analytic correlation has k = L, the number of PDP taps (U the DFT columns at
+the tap delays, W = diag(powers)).  EmLMMSE's running correlation keeps the
+weighted history of the LS vectors it has seen: k grows by one per update
+until it reaches n, when the state folds into U = I, W = the dense n x n
+correlation.  A dense correlation is the folded form too, so every filter is
+built by the one formula above.
 """
 
 from dataclasses import dataclass
@@ -32,55 +46,120 @@ def estimate_ls(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(np.linalg.solve(gram, np.conj(np.swapaxes(cross, -1, -2))), -1, -2))
 
 
-def _check_corr(r_hh: np.ndarray) -> np.ndarray:
-    r_hh = np.asarray(r_hh, dtype=complex)
-    if r_hh.ndim != 2 or r_hh.shape[0] != r_hh.shape[1]:
-        raise InvalidArgumentError("correlation matrix must be square")
-    if not np.allclose(r_hh, r_hh.conj().T, atol=1e-8):
-        raise InvalidArgumentError("correlation matrix must be Hermitian")
-    return r_hh
+@dataclass(frozen=True)
+class FactoredCorr:
+    """The n x n matrix a*I + U W U^H; `x @` applies it in O(n k)."""
+
+    a: float
+    u: np.ndarray  # (n, k)
+    w: np.ndarray  # (k, k)
+
+    @classmethod
+    def from_dense(cls, r_hh) -> "FactoredCorr":
+        """A dense Hermitian correlation as 0*I + I R I^H."""
+        r_hh = np.asarray(r_hh, dtype=complex)
+        if r_hh.ndim != 2 or r_hh.shape[0] != r_hh.shape[1]:
+            raise InvalidArgumentError("correlation matrix must be square")
+        if not np.allclose(r_hh, r_hh.conj().T, atol=1e-8):
+            raise InvalidArgumentError("correlation matrix must be Hermitian")
+        return cls(0.0, np.eye(r_hh.shape[0], dtype=complex), r_hh)
+
+    @property
+    def shape(self) -> tuple:
+        """(n, n), the shape of the matrix it stands for."""
+        n = self.u.shape[0]
+        return (n, n)
+
+    def dense(self) -> np.ndarray:
+        return self.a * np.eye(self.u.shape[0]) + self.u @ self.w @ self.u.conj().T
+
+    def __matmul__(self, x):
+        return self.a * x + self.u @ (self.w @ (self.u.conj().T @ x))
 
 
-def lmmse_filter(r_hh: np.ndarray, sigma_eff2: float) -> np.ndarray:
-    """R (R + sigma_eff^2 I)^-1, reusable across estimates at the same noise level."""
-    r_hh = _check_corr(r_hh)
+def lmmse_filter(r_hh, sigma_eff2: float):
+    """R (R + sigma_eff^2 I)^-1, reusable across estimates at the same noise level.
+
+    R is a FactoredCorr, and the filter is returned as one; a dense R gives
+    a dense filter.  sigma_eff^2 = 0 gives the identity.
+    """
+    factored = r_hh if isinstance(r_hh, FactoredCorr) else FactoredCorr.from_dense(r_hh)
     if sigma_eff2 < 0:
         raise InvalidArgumentError("noise variance must be >= 0")
+    n, k = factored.u.shape
     if sigma_eff2 == 0:
-        return np.eye(r_hh.shape[0], dtype=complex)
-    n = r_hh.shape[0]
-    return np.linalg.solve((r_hh + sigma_eff2 * np.eye(n)).conj().T, r_hh.conj().T).conj().T
+        filt = FactoredCorr(1.0, np.zeros((n, 0), dtype=complex), np.zeros((0, 0), dtype=complex))
+    else:
+        b = factored.a + sigma_eff2
+        m = b * np.eye(k) + (factored.u.conj().T @ factored.u) @ factored.w
+        # W M^-1 as (M^-H W^H)^H.
+        w_m = np.linalg.solve(m.conj().T, factored.w.conj().T).conj().T
+        filt = FactoredCorr(factored.a / b, factored.u, (sigma_eff2 / b) * w_m)
+    return filt if isinstance(r_hh, FactoredCorr) else filt.dense()
 
 
 def estimate_lmmse(h_ls, r_hh, sigma2: float, pilot_energy: float) -> np.ndarray:
-    """Frequency-domain LMMSE filtering of one (r, t) LS channel vector."""
+    """Frequency-domain LMMSE filtering of one (r, t) LS channel vector.
+
+    r_hh is a dense correlation or a FactoredCorr.
+    """
     if pilot_energy <= 0:
         raise InvalidArgumentError("pilot energy must be > 0")
     filt = lmmse_filter(r_hh, sigma2 / pilot_energy)
     return filt @ np.asarray(h_ls, dtype=complex)
 
 
-@dataclass(frozen=True)
 class EmLmmseState:
-    """Running channel-correlation estimate for one (r, t) antenna pair."""
+    """Running channel-correlation estimate for one (r, t) antenna pair.
 
-    corr: np.ndarray
-    subframes_seen: int = 0
-    window: int = 100
+    The correlation is held as `factored`: the identity prior of `initial`
+    is a = 1 with no columns; after updates it is the weighted history of
+    LS vectors, or the dense n x n matrix once the history would reach n
+    columns.  A `corr` given to the constructor is checked to be Hermitian
+    here, once, and held dense.  `corr` builds the n x n matrix on demand.
+    """
+
+    def __init__(self, corr=None, subframes_seen: int = 0, window: int = 100, *,
+                 factored: FactoredCorr = None):
+        if (corr is None) == (factored is None):
+            raise InvalidArgumentError("give exactly one of corr and factored")
+        self.factored = FactoredCorr.from_dense(corr) if factored is None else factored
+        self.subframes_seen = subframes_seen
+        self.window = window
 
     @classmethod
     def initial(cls, n_sc: int, window: int = 100) -> "EmLmmseState":
-        return cls(corr=np.eye(n_sc, dtype=complex), subframes_seen=0, window=window)
+        empty = FactoredCorr(1.0, np.zeros((n_sc, 0), dtype=complex),
+                             np.zeros((0, 0), dtype=complex))
+        return cls(factored=empty, subframes_seen=0, window=window)
+
+    @property
+    def corr(self) -> np.ndarray:
+        return self.factored.dense()
 
 
 def update_empirical_correlation(state: EmLmmseState, h_hat) -> EmLmmseState:
-    """Capped-window moving average of h h* outer products."""
+    """Capped-window moving average of h h* outer products:
+    C <- (1 - 1/w) C + (1/w) h h*, w = min(updates so far + 1, window)."""
     h_hat = np.asarray(h_hat, dtype=complex)
     w = min(state.subframes_seen + 1, state.window)
-    corr = (1.0 - 1.0 / w) * state.corr + (1.0 / w) * np.outer(h_hat, h_hat.conj())
-    return EmLmmseState(corr=corr, subframes_seen=state.subframes_seen + 1, window=state.window)
+    keep = 1.0 - 1.0 / w
+    old = state.factored
+    n, k = old.u.shape
+    if k == n:  # folded: U = I
+        u = old.u
+        weights = keep * old.w + (1.0 / w) * np.outer(h_hat, h_hat.conj())
+    else:
+        u = np.concatenate([old.u, h_hat[:, None]], axis=1)
+        weights = np.zeros((k + 1, k + 1), dtype=complex)
+        weights[:k, :k] = keep * old.w
+        weights[k, k] = 1.0 / w
+        if k + 1 == n:
+            u, weights = np.eye(n, dtype=complex), u @ weights @ u.conj().T
+    return EmLmmseState(factored=FactoredCorr(keep * old.a, u, weights),
+                        subframes_seen=state.subframes_seen + 1, window=state.window)
 
 
 def estimate_em_lmmse(state: EmLmmseState, h_ls, sigma2: float, pilot_energy: float) -> np.ndarray:
     """LMMSE filtering with the empirical correlation in place of the true one."""
-    return estimate_lmmse(h_ls, state.corr, sigma2, pilot_energy)
+    return estimate_lmmse(h_ls, state.factored, sigma2, pilot_energy)

@@ -13,7 +13,7 @@ from .structnet import IilKind, IilOrder, TrainConfig
 
 METHODS = ("LS", "GenieLMMSE", "EmLMMSE", "StructNetCE", "PerfectCSI")
 # Methods that start from the shared LS estimate; its time counts toward each.
-LS_BASED = frozenset({"LS", "GenieLMMSE", "EmLMMSE"})
+LS_BASED = frozenset({"LS", "GenieLMMSE", "EmLMMSE", "StructNetCE"})
 
 CSV_HEADER = "method,pilot_pattern,snr_db,mse,ber,subframes,wall_time_s,seed"
 
@@ -178,7 +178,9 @@ def run_sweep(cfg: ExperimentConfig):
     sigma2s = [evaluation.snr_to_noise_var(s, const, spec.n_tx) for s in cfg.snr_db]
     genie_filters = {}
     if "GenieLMMSE" in cfg.methods:
-        r_true = channel_sim.analytic_freq_correlation(pdp, spec.n_sc)
+        # The analytic correlation, factored: U diag(powers) U^H.
+        r_true = estimators.FactoredCorr(0.0, channel_sim.dft_vectors(pdp, spec.n_sc),
+                                         np.diag(pdp.powers))
         genie_filters = {
             i: estimators.lmmse_filter(r_true, s2 / e_s) for i, s2 in enumerate(sigma2s)
         }
@@ -224,8 +226,8 @@ def run_sweep(cfg: ExperimentConfig):
                     elif method == "PerfectCSI":
                         est = h.freq_response
                     elif method == "GenieLMMSE":
-                        filt = genie_filters[i]
-                        est = np.einsum("kl,lrt->krt", filt, h_ls)
+                        est = (genie_filters[i] @ h_ls.reshape(spec.n_sc, -1)
+                               ).reshape(h_ls.shape)
                     elif method == "EmLMMSE":
                         est = np.empty_like(h_ls)
                         for r in range(spec.n_rx):
@@ -243,7 +245,7 @@ def run_sweep(cfg: ExperimentConfig):
                                         state, h_ls[:, r, t]))
                     elif method == "StructNetCE":
                         est = structnet.estimate_channel_structnet(
-                            y_p, grid.pilots, cfg.train, seeds[3 + 2 * i])
+                            y_p, grid.pilots, cfg.train, seeds[3 + 2 * i], h_ls=h_ls)
                     else:
                         raise ConfigError(f"unknown method {method}")
                     slot["time"] += time.perf_counter() - t0

@@ -44,6 +44,9 @@ from .signal_model import complexify_channel, realify_channel_column, realify_si
 from .estimators import estimate_ls
 
 DEFAULT_GRID_CAP = 2_000_000
+# Bytes the shifting IIL's backward cache (G*B*S*D values) may take.  The
+# largest cache built by the tests, c11's 8x8 toy, is 105 MB in float32.
+CACHE_BYTE_CAP = 1 << 29
 
 
 class IilKind(enum.Enum):
@@ -311,6 +314,12 @@ class _BatchTrainer:
         self.y = np.ascontiguousarray(y, dtype=dtype)                   # (B, S, D)
         self.n_samples = self.y.shape[1]
         if cfg.iil_kind is IilKind.SHIFTING:
+            # Checked before the grid is built: its size alone can be large.
+            n_points = (2 * cfg.iil_window + 1) ** self.interference.shape[1]
+            cache_bytes = n_points * self.y.size * self.y.itemsize
+            if cache_bytes > CACHE_BYTE_CAP:
+                raise ResourceLimitError(
+                    f"shifting IIL cache of {cache_bytes} bytes exceeds cap {CACHE_BYTE_CAP}")
             self.grid = shift_grid(self.interference.shape[1], cfg.iil_window,
                                    cfg.grid_cap).astype(dtype)
 
@@ -505,10 +514,11 @@ def detect_multinomial(model: StructNetModel, y, posterior=None) -> np.ndarray:
     return raw / raw.sum()
 
 
-def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed) -> np.ndarray:
+def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed, h_ls=None) -> np.ndarray:
     """Per-subframe channel estimate from pilots, all subcarriers at once.
 
-    Initializes every stream's weights from the LS estimate, trains
+    Initializes every stream's weights from the LS estimate (`h_ls`, or
+    computed from the pilots when it is None), trains
     cfg.epochs alternating epochs per (subcarrier, stream), then reassembles
     the complex channel from the desired weights.
 
@@ -525,9 +535,13 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed) -> np.ndarray:
     x_p = np.asarray(x_p, dtype=complex)   # (n_sc, N_t, N_p)
     n_sc = y_p.shape[0]
     n_tx = x_p.shape[1]
-    h_ls = estimate_ls(y_p, x_p)           # (n_sc, N_r, N_t)
+    if h_ls is None:
+        h_ls = estimate_ls(y_p, x_p)       # (n_sc, N_r, N_t)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = ss.spawn(2 * n_tx)
+    # The children ss.spawn would give, without advancing ss's spawn counter.
+    seeds = [np.random.SeedSequence(ss.entropy, pool_size=ss.pool_size,
+                                    spawn_key=ss.spawn_key + (ss.n_children_spawned + i,))
+             for i in range(2 * n_tx)]
 
     # All streams share sample count only when their antennas are active on
     # the same number of pilot slots (always true for both pilot patterns),

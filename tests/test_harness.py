@@ -108,6 +108,17 @@ class TestRunSweep:
         assert ls_alone.mse == ls_paired.mse
         assert ls_alone.ber == ls_paired.ber
 
+    def test_learner_reuses_the_sweep_ls_estimate(self, monkeypatch):
+        calls = []
+        for owner in (harness.estimators, harness.structnet):
+            monkeypatch.setattr(owner, "estimate_ls",
+                                lambda *a, f=owner.estimate_ls: calls.append(1) or f(*a))
+        cfg = config_from_items({"n_sc": "8", "n_subframes": "3", "snr_db": "0,10",
+                                 "methods": "LS,StructNetCE", "epochs": "2"})
+        rows = run_sweep(cfg)
+        assert len(calls) == cfg.n_subframes * len(cfg.snr_db)
+        assert all(math.isfinite(r.mse) for r in rows)
+
     def test_perfect_csi_zero_mse(self):
         cfg = config_from_items(
             {"n_sc": "8", "n_subframes": "2", "snr_db": "10", "methods": "PerfectCSI"}

@@ -435,6 +435,52 @@ class TestEstimateChannel:
         assert got.shape == (8, 2, 2)
         assert np.all(np.isfinite(got))
 
+    @staticmethod
+    def _pilots(spec, seed):
+        ss = np.random.SeedSequence(seed).spawn(3)
+        h = sample_channel(exponential_pdp(4, 2.0), spec, ss[0])
+        grid = generate_transmit_grid(spec, build_constellation(16), ss[1])
+        return apply_channel(grid, h, NoiseSpec(1.0), ss[2])[:, :, : spec.n_pilot], grid.pilots
+
+    def test_seed_sequence_not_advanced(self):
+        y_p, x_p = self._pilots(SubframeSpec(n_sc=8), 20)
+        cfg = TrainConfig(epochs=20)
+        ss = np.random.SeedSequence(21)
+        a = estimate_channel_structnet(y_p, x_p, cfg, ss)
+        b = estimate_channel_structnet(y_p, x_p, cfg, ss)
+        assert np.array_equal(a, b)
+        assert ss.n_children_spawned == 0
+        # A fresh sequence draws what an int seed of the same entropy draws.
+        assert np.array_equal(a, estimate_channel_structnet(y_p, x_p, cfg, 21))
+
+    def test_given_ls_estimate_is_used(self, monkeypatch):
+        y_p, x_p = self._pilots(SubframeSpec(n_sc=8), 22)
+        cfg = TrainConfig(epochs=20)
+        want = estimate_channel_structnet(y_p, x_p, cfg, 23)
+        h_ls = estimate_ls(y_p, x_p)
+
+        def refuse(*args):
+            raise AssertionError("LS recomputed")
+
+        monkeypatch.setattr(structnet, "estimate_ls", refuse)
+        assert np.array_equal(estimate_channel_structnet(y_p, x_p, cfg, 23, h_ls=h_ls), want)
+
+    def test_shifting_cache_cap_allocates_nothing(self):
+        # 4x4 at 64 subcarriers: the 7^7-point grid passes the grid cap, but
+        # its backward cache would take ~1e11 bytes.
+        import tracemalloc
+
+        y_p, x_p = self._pilots(SubframeSpec(n_tx=4, n_rx=4, n_pilot=4), 24)
+        cfg = TrainConfig(epochs=1, iil_kind=IilKind.SHIFTING)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="cache"):
+                estimate_channel_structnet(y_p, x_p, cfg, 25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
 
 class TestTrainConfig:
     def test_validation(self):
