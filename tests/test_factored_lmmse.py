@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from celab import estimators, harness
+from celab import harness
 from celab.channel_sim import analytic_freq_correlation, dft_vectors, exponential_pdp
 from celab.errors import InvalidArgumentError
 from celab.estimators import (
@@ -108,7 +108,7 @@ def test_sweep_builds_no_dense_correlation(monkeypatch):
     monkeypatch.setattr(harness.channel_sim, "analytic_freq_correlation", refuse)
     solved = []
     solve = np.linalg.solve
-    monkeypatch.setattr(estimators.np.linalg, "solve",
+    monkeypatch.setattr(np.linalg, "solve",
                         lambda m, b: solved.append(m.shape[-1]) or solve(m, b))
     cfg = harness.config_from_items(
         {"methods": "LS,GenieLMMSE,EmLMMSE", "n_subframes": "5", "seed": "2"})
