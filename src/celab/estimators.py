@@ -123,6 +123,8 @@ class EmLmmseState:
                  factored: FactoredCorr = None):
         if (corr is None) == (factored is None):
             raise InvalidArgumentError("give exactly one of corr and factored")
+        if window < 1:
+            raise InvalidArgumentError(f"window must be >= 1, got {window}")
         self.factored = FactoredCorr.from_dense(corr) if factored is None else factored
         self.subframes_seen = subframes_seen
         self.window = window

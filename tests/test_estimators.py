@@ -126,6 +126,13 @@ class TestEmpiricalCorrelation:
         state = update_empirical_correlation(state, e1)
         assert np.allclose(state.corr, 0.5 * (np.outer(e0, e0) + np.outer(e1, e1)))
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(InvalidArgumentError, match="window"):
+            EmLmmseState.initial(4, window=window)
+        with pytest.raises(InvalidArgumentError, match="window"):
+            EmLmmseState(corr=np.eye(4), window=window)
+
     def test_stays_hermitian_psd(self):
         rng = np.random.default_rng(7)
         state = EmLmmseState.initial(8)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from celab.errors import (
     DegenerateRatioError,
     InvalidArgumentError,
     ResourceLimitError,
+    TrainingDivergenceError,
 )
 from celab.estimators import estimate_ls
 from celab.evaluation import compute_mse, snr_to_noise_var
@@ -608,3 +612,118 @@ class TestLoss:
         loss = tr.loss()
         assert loss.dtype == dtype
         assert np.all(np.isfinite(loss)) and np.all(loss > 10.0)
+
+
+class TestParallelParts:
+    """The batch trained as parts in threads is bit for bit the batch trained
+    whole in one thread."""
+
+    @pytest.mark.parametrize("n_parts", [2, 3])
+    @pytest.mark.parametrize("update_interference", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
+    def test_parts_match_whole(self, kind, dtype, update_interference, n_parts):
+        whole = _batch_trainer(kind, 7, update_interference, dtype=dtype)
+        whole.run_epochs(3)
+        parts = _batch_trainer(kind, 7, update_interference, dtype=dtype)
+        loss = structnet._train_in_parts(parts, 3, n_parts)
+        for name in ALL_WEIGHTS:
+            assert np.array_equal(getattr(parts, name), getattr(whole, name)), name
+        assert np.array_equal(loss, whole.loss())
+
+    @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
+    def test_one_model_per_thread_with_fast_switching(self, kind):
+        # More threads than cores, handing over the interpreter every 1 us.
+        whole = _batch_trainer(kind, 7, True)
+        whole.run_epochs(3)
+        parts = _batch_trainer(kind, 7, True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            loss = structnet._train_in_parts(parts, 3, 7)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ALL_WEIGHTS:
+            assert np.array_equal(getattr(parts, name), getattr(whole, name)), name
+        assert np.array_equal(loss, whole.loss())
+
+    @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
+    def test_estimate_same_in_one_and_two_parts(self, monkeypatch, kind):
+        y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 26)
+        cfg = TrainConfig(epochs=4, iil_kind=kind)
+        got = {}
+        for n_parts in (1, 2):
+            monkeypatch.setattr(structnet, "_n_parts", lambda trainer, n=n_parts: n)
+            got[n_parts] = estimate_channel_structnet(y_p, x_p, cfg, 27)
+        assert np.array_equal(got[1], got[2])
+
+    def test_part_count(self, monkeypatch):
+        monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(8)))
+
+        def n_parts(n_sc, kind=IilKind.MODULO):
+            y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=n_sc), 28)
+            seen = []
+            monkeypatch.setattr(structnet, "_train_in_parts",
+                                lambda trainer, n_epochs, n: seen.append(n) or np.zeros(1))
+            estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=1, iil_kind=kind), 29)
+            return seen[0]
+
+        # 2x2, 4 samples per model: 16 (model, sample) pairs per subcarrier.
+        assert n_parts(64) == 1
+        assert n_parts(128) == 2
+        assert n_parts(256) == 4
+        assert n_parts(8, IilKind.SHIFTING) == 8  # 128 pairs x 343 grid points
+        monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: {0})
+        assert n_parts(256) == 1
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_part_exception_raised_in_caller(self, monkeypatch, failing):
+        run_epochs = _BatchTrainer.run_epochs
+
+        def run_or_fail(self, n_epochs):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (failing == "caller"):
+                raise RuntimeError(f"{failing} part failed")
+            run_epochs(self, n_epochs)
+
+        monkeypatch.setattr(_BatchTrainer, "run_epochs", run_or_fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} part failed"):
+            structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 6, True), 2, 3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("diverging", ["caller", "worker"])
+    def test_nonfinite_loss_in_one_part_diverges(self, monkeypatch, diverging):
+        loss = _BatchTrainer.loss
+
+        def loss_with_nan(self):
+            out = loss(self)
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (diverging == "caller"):
+                out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(_BatchTrainer, "loss", loss_with_nan)
+        monkeypatch.setattr(structnet, "_n_parts", lambda trainer: 2)
+        y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 30)
+        with pytest.raises(TrainingDivergenceError):
+            estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=2), 31)
+
+    def test_cache_cap_checked_for_the_whole_batch(self, monkeypatch):
+        # 2x2 at 16 subcarriers: 64 models x 4 samples x 4 reals x 343 grid
+        # points in float32; the cap lies between half of that and all of it.
+        whole_bytes = 64 * 4 * 4 * 343 * 4
+        monkeypatch.setattr(structnet, "CACHE_BYTE_CAP", whole_bytes * 3 // 4)
+        monkeypatch.setattr(structnet, "_n_parts", lambda trainer: 2)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or start(self))
+        y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=16), 32)
+        cfg = TrainConfig(epochs=1, iil_kind=IilKind.SHIFTING)
+        with pytest.raises(ResourceLimitError, match="cache"):
+            estimate_channel_structnet(y_p, x_p, cfg, 33)
+        assert started == []
+        monkeypatch.setattr(structnet, "CACHE_BYTE_CAP", whole_bytes)
+        estimate_channel_structnet(y_p, x_p, cfg, 33)
+        assert len(started) == 1
