@@ -618,7 +618,8 @@ class TestParallelParts:
     """The batch trained as parts in threads is bit for bit the batch trained
     whole in one thread."""
 
-    @pytest.mark.parametrize("n_parts", [2, 3])
+    # 7 models: parts of uneven size, and at 7 parts one model per thread.
+    @pytest.mark.parametrize("n_parts", [2, 3, 7])
     @pytest.mark.parametrize("update_interference", [True, False])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
@@ -626,21 +627,11 @@ class TestParallelParts:
         whole = _batch_trainer(kind, 7, update_interference, dtype=dtype)
         whole.run_epochs(3)
         parts = _batch_trainer(kind, 7, update_interference, dtype=dtype)
-        loss = structnet._train_in_parts(parts, 3, n_parts)
-        for name in ALL_WEIGHTS:
-            assert np.array_equal(getattr(parts, name), getattr(whole, name)), name
-        assert np.array_equal(loss, whole.loss())
-
-    @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
-    def test_one_model_per_thread_with_fast_switching(self, kind):
-        # More threads than cores, handing over the interpreter every 1 us.
-        whole = _batch_trainer(kind, 7, True)
-        whole.run_epochs(3)
-        parts = _batch_trainer(kind, 7, True)
+        # Threads hand over the interpreter every microsecond.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            loss = structnet._train_in_parts(parts, 3, 7)
+            loss = structnet._train_in_parts(parts, 3, n_parts)
         finally:
             sys.setswitchinterval(interval)
         for name in ALL_WEIGHTS:
