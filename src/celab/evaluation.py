@@ -1,20 +1,9 @@
 """Equalization, demapping, and MSE/BER/SNR metric helpers."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
 from .signal_model import Constellation
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    mse: float
-    ber: float
-    bits_total: int
-    bit_errors: int
-    wall_time_s: float = 0.0
 
 
 def snr_to_noise_var(snr_db: float, c: Constellation, n_tx: int) -> float:

@@ -1,21 +1,71 @@
 """Config-driven experiment runner: SNR sweeps, IIL runtime benchmark, CSV."""
 
+import math
 import os
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from . import channel_sim, estimators, evaluation, signal_model, structnet
-from .errors import CelabError, ConfigError, ResourceLimitError
-from .signal_model import PilotPattern, SubframeSpec
-from .structnet import IilKind, IilOrder, TrainConfig
+from .errors import CelabError, ConfigError, InvalidArgumentError, ResourceLimitError
+from .signal_model import SubframeSpec
+from .structnet import IilKind, TrainConfig
 
-METHODS = ("LS", "GenieLMMSE", "EmLMMSE", "StructNetCE", "PerfectCSI")
-# Methods that start from the shared LS estimate; its time counts toward each.
-LS_BASED = frozenset({"LS", "GenieLMMSE", "EmLMMSE", "StructNetCE"})
 
-CSV_HEADER = "method,pilot_pattern,snr_db,mse,ber,subframes,wall_time_s,seed"
+def _genie_filter(spec, pdp, sigma2, e_s):
+    # The analytic correlation, factored: U diag(powers) U^H.
+    r_true = estimators.FactoredCorr(0.0, channel_sim.dft_vectors(pdp, spec.n_sc),
+                                     np.diag(pdp.powers))
+    return estimators.lmmse_filter(r_true, sigma2 / e_s)
+
+
+def _em_states(spec, pdp, sigma2, e_s):
+    return {(r, t): estimators.EmLmmseState.initial(spec.n_sc)
+            for r in range(spec.n_rx) for t in range(spec.n_tx)}
+
+
+def _em_estimate(states, cell):
+    est = np.empty_like(cell.h_ls)
+    for (r, t), state in states.items():
+        est[:, r, t] = estimators.estimate_em_lmmse(state, cell.h_ls[:, r, t],
+                                                    cell.sigma2, cell.e_s)
+        # Feeding the filter's own output back collapses the running
+        # correlation to rank one (the first update replaces the identity
+        # prior), so the running statistic accumulates the unbiased LS estimates.
+        states[r, t] = estimators.update_empirical_correlation(state, cell.h_ls[:, r, t])
+    return est
+
+
+class _Cell(NamedTuple):
+    """What an estimator sees of one (subframe, SNR) cell."""
+    h: np.ndarray          # true frequency response (n_sc, N_r, N_t)
+    h_ls: np.ndarray       # the shared LS estimate; None when no method starts from it
+    y_p: np.ndarray        # received pilots (n_sc, N_r, N_p)
+    pilots: np.ndarray     # transmitted pilots (n_sc, N_t, N_p)
+    sigma2: float
+    e_s: float
+    train: TrainConfig
+    seed: np.random.SeedSequence
+
+
+# {name: (per-SNR state init or None, estimate, starts from LS)}.  An init
+# maps (spec, pdp, sigma2, e_s) to the state its estimate gets with each
+# cell of that SNR; the shared LS estimate's time counts toward every method
+# that starts from it.  Estimators are looked up in their modules per call.
+_METHODS = {
+    "LS": (None, lambda state, cell: cell.h_ls, True),
+    "GenieLMMSE": (_genie_filter, lambda filt, cell: (
+        filt @ cell.h_ls.reshape(cell.h_ls.shape[0], -1)).reshape(cell.h_ls.shape), True),
+    "EmLMMSE": (_em_states, _em_estimate, True),
+    "StructNetCE": (None, lambda state, cell: structnet.estimate_channel_structnet(
+        cell.y_p, cell.pilots, cell.train, cell.seed, h_ls=cell.h_ls), True),
+    "PerfectCSI": (None, lambda state, cell: cell.h, False),
+}
+METHODS = tuple(_METHODS)
 
 
 @dataclass(frozen=True)
@@ -24,12 +74,29 @@ class ExperimentConfig:
     qam_order: int = 16
     pdp_taps: int = 8
     pdp_decay: float = 3.0
-    snr_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
+    snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     n_subframes: int = 200
-    methods: tuple = METHODS
+    methods: tuple[str, ...] = METHODS
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
     out: str = "results.csv"
+
+    def __post_init__(self):
+        if self.qam_order not in (4, 16, 64):
+            raise ConfigError(f"unsupported qam_order {self.qam_order}")
+        if self.n_subframes < 1:
+            raise ConfigError("n_subframes must be >= 1")
+        if not self.snr_db:
+            raise ConfigError("snr_db list must be nonempty")
+        if self.pdp_taps < 1 or self.pdp_taps > self.spec.n_sc:
+            raise ConfigError("pdp_taps must be in [1, n_sc]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        for i, m in enumerate(self.methods):
+            if m not in _METHODS:
+                raise ConfigError(f"unknown method '{m}' for key 'methods'")
+            if m in self.methods[:i]:
+                raise ConfigError(f"duplicate method '{m}' for key 'methods'")
 
 
 @dataclass(frozen=True)
@@ -42,6 +109,9 @@ class ResultRow:
     subframes: int
     wall_time_s: float
     seed: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -62,84 +132,61 @@ PRESETS = {
     },
 }
 
+# Config keys are the field names of SubframeSpec, TrainConfig and
+# ExperimentConfig, except these two; the fields in _FIXED take no key.
+_KEY_OF_FIELD = {"cp_len": "n_cp", "iil_kind": "iil"}
+_FIXED = frozenset({"eps_mod", "grid_cap"})
+
+# {config key: (owning dataclass, field name, field type)}
+_KEYS = {_KEY_OF_FIELD.get(name, name): (owner, name, kind)
+         for owner in (SubframeSpec, TrainConfig, ExperimentConfig)
+         for name, kind in typing.get_type_hints(owner).items()
+         if name not in _FIXED and not is_dataclass(kind)}
+
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_value(key: str, value: str):
+def _parse_scalar(kind, text: str):
+    """`text` as an int, a float (not NaN), a str or a member of an Enum."""
+    if issubclass(kind, Enum):
+        return kind(text.strip().lower())
+    value = kind(text)
+    if kind is float and math.isnan(value):
+        raise ValueError("NaN")
+    return value
+
+
+def _parse_value(key: str, kind, text: str):
+    """`text` as a value of type `kind`: a bool, a scalar, or a
+    comma-separated tuple[scalar, ...]."""
+    if kind is bool:
+        word = text.strip().lower()
+        if word not in _BOOL:
+            raise ConfigError(f"bad boolean for key '{key}': {text}")
+        return _BOOL[word]
     try:
-        if key in ("n_rx", "n_tx", "n_sc", "n_cp", "n_sym", "n_pilot", "pdp_taps",
-                   "n_subframes", "epochs", "iil_window", "seed", "n_h1", "n_h2"):
-            return int(value)
-        if key in ("pdp_decay", "lr_classifier", "lr_channel"):
-            return float(value)
-        if key == "snr_db":
-            return tuple(float(v) for v in value.split(","))
-        if key == "methods":
-            methods = tuple(m.strip() for m in value.split(","))
-            for m in methods:
-                if m not in METHODS:
-                    raise ConfigError(f"unknown method '{m}' for key 'methods'")
-            return methods
-        if key == "pilot_pattern":
-            return PilotPattern(value.strip().lower())
-        if key == "iil":
-            return IilKind(value.strip().lower())
-        if key == "iil_order":
-            return IilOrder(value.strip().lower())
-        if key == "update_interference":
-            if value.strip().lower() not in _BOOL:
-                raise ConfigError(f"bad boolean for key '{key}': {value}")
-            return _BOOL[value.strip().lower()]
-        if key in ("out", "qam_order"):
-            return int(value) if key == "qam_order" else value
-    except ConfigError:
-        raise
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(_parse_scalar(item, v.strip()) for v in text.split(","))
+        return _parse_scalar(kind, text)
     except ValueError as exc:
-        raise ConfigError(f"bad value for key '{key}': {value}") from exc
-    raise ConfigError(f"unknown config key '{key}'")
+        raise ConfigError(f"bad value for key '{key}': {text}") from exc
 
 
 def config_from_items(items: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from raw key=value strings, with defaults."""
-    parsed = {k: _parse_value(k, v) for k, v in items.items()}
-
-    spec_kwargs = {}
-    for key, attr in (("n_rx", "n_rx"), ("n_tx", "n_tx"), ("n_sc", "n_sc"),
-                      ("n_cp", "cp_len"), ("n_sym", "n_sym"),
-                      ("n_pilot", "n_pilot"), ("pilot_pattern", "pilot_pattern")):
-        if key in parsed:
-            spec_kwargs[attr] = parsed[key]
-    train_kwargs = {}
-    for key, attr in (("epochs", "epochs"), ("lr_classifier", "lr_classifier"),
-                      ("lr_channel", "lr_channel"), ("iil", "iil_kind"),
-                      ("iil_window", "iil_window"), ("iil_order", "iil_order"),
-                      ("update_interference", "update_interference"),
-                      ("n_h1", "n_h1"), ("n_h2", "n_h2")):
-        if key in parsed:
-            train_kwargs[attr] = parsed[key]
-    top_kwargs = {}
-    for key in ("qam_order", "pdp_taps", "pdp_decay", "snr_db", "n_subframes",
-                "methods", "seed", "out"):
-        if key in parsed:
-            top_kwargs[key] = parsed[key]
-
+    kwargs = {SubframeSpec: {}, TrainConfig: {}, ExperimentConfig: {}}
+    for key, text in items.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key '{key}'")
+        owner, name, kind = _KEYS[key]
+        kwargs[owner][name] = _parse_value(key, kind, text)
     try:
-        spec = SubframeSpec(**spec_kwargs)
-        train = TrainConfig(**train_kwargs)
-        cfg = ExperimentConfig(spec=spec, train=train, **top_kwargs)
-        if cfg.qam_order not in (4, 16, 64):
-            raise ConfigError(f"unsupported qam_order {cfg.qam_order}")
-        if cfg.n_subframes < 1:
-            raise ConfigError("n_subframes must be >= 1")
-        if not cfg.snr_db:
-            raise ConfigError("snr_db list must be nonempty")
-        if cfg.pdp_taps < 1 or cfg.pdp_taps > spec.n_sc:
-            raise ConfigError("pdp_taps must be in [1, n_sc]")
-    except CelabError as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        spec = SubframeSpec(**kwargs[SubframeSpec])
+        train = TrainConfig(**kwargs[TrainConfig])
+    except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return ExperimentConfig(spec=spec, train=train, **kwargs[ExperimentConfig])
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -176,21 +223,11 @@ def run_sweep(cfg: ExperimentConfig):
     e_s = const.avg_energy
 
     sigma2s = [evaluation.snr_to_noise_var(s, const, spec.n_tx) for s in cfg.snr_db]
-    genie_filters = {}
-    if "GenieLMMSE" in cfg.methods:
-        # The analytic correlation, factored: U diag(powers) U^H.
-        r_true = estimators.FactoredCorr(0.0, channel_sim.dft_vectors(pdp, spec.n_sc),
-                                         np.diag(pdp.powers))
-        genie_filters = {
-            i: estimators.lmmse_filter(r_true, s2 / e_s) for i, s2 in enumerate(sigma2s)
-        }
-    em_states = {
-        (i, r, t): estimators.EmLmmseState.initial(spec.n_sc)
-        for i in range(len(sigma2s))
-        for r in range(spec.n_rx)
-        for t in range(spec.n_tx)
-        if "EmLMMSE" in cfg.methods
-    }
+    methods = [(m, *_METHODS[m]) for m in cfg.methods]
+    states = {(m, i): init(spec, pdp, s2, e_s)
+              for m, init, _, _ in methods if init is not None
+              for i, s2 in enumerate(sigma2s)}
+    need_ls = any(from_ls for *_, from_ls in methods)
 
     acc = {
         (m, i): {"mse": 0.0, "errors": 0, "bits": 0, "time": 0.0, "failed": False}
@@ -210,46 +247,22 @@ def run_sweep(cfg: ExperimentConfig):
             y_p = y[:, :, :spec.n_pilot]
             y_d = y[:, :, spec.n_pilot:]
             h_ls, ls_time = None, 0.0
-            if set(cfg.methods) & LS_BASED:
+            if need_ls:
                 t0 = time.perf_counter()
                 h_ls = estimators.estimate_ls(y_p, grid.pilots)
                 ls_time = time.perf_counter() - t0
+            cell = _Cell(h.freq_response, h_ls, y_p, grid.pilots, sigma2, e_s, cfg.train,
+                         seeds[3 + 2 * i])
 
-            for method in cfg.methods:
+            for method, _, estimate, from_ls in methods:
                 slot = acc[(method, i)]
                 if slot["failed"]:
                     continue
                 try:
                     t0 = time.perf_counter()
-                    if method == "LS":
-                        est = h_ls
-                    elif method == "PerfectCSI":
-                        est = h.freq_response
-                    elif method == "GenieLMMSE":
-                        est = (genie_filters[i] @ h_ls.reshape(spec.n_sc, -1)
-                               ).reshape(h_ls.shape)
-                    elif method == "EmLMMSE":
-                        est = np.empty_like(h_ls)
-                        for r in range(spec.n_rx):
-                            for t in range(spec.n_tx):
-                                state = em_states[(i, r, t)]
-                                vec = estimators.estimate_em_lmmse(
-                                    state, h_ls[:, r, t], sigma2, e_s)
-                                est[:, r, t] = vec
-                                # Feeding the filter's own output back collapses the
-                                # running correlation to rank one (the first update
-                                # replaces the identity prior), so the running
-                                # statistic accumulates the unbiased LS estimates.
-                                em_states[(i, r, t)] = (
-                                    estimators.update_empirical_correlation(
-                                        state, h_ls[:, r, t]))
-                    elif method == "StructNetCE":
-                        est = structnet.estimate_channel_structnet(
-                            y_p, grid.pilots, cfg.train, seeds[3 + 2 * i], h_ls=h_ls)
-                    else:
-                        raise ConfigError(f"unknown method {method}")
+                    est = estimate(states.get((method, i)), cell)
                     slot["time"] += time.perf_counter() - t0
-                    if method in LS_BASED:
+                    if from_ls:
                         slot["time"] += ls_time
 
                     slot["mse"] += evaluation.compute_mse(h.freq_response, est)
@@ -270,16 +283,8 @@ def run_sweep(cfg: ExperimentConfig):
             else:
                 mse = slot["mse"] / cfg.n_subframes
                 ber = slot["errors"] / slot["bits"]
-            rows.append(ResultRow(
-                method=method,
-                pilot_pattern=spec.pilot_pattern.value,
-                snr_db=float(snr),
-                mse=mse,
-                ber=ber,
-                subframes=cfg.n_subframes,
-                wall_time_s=slot["time"],
-                seed=cfg.seed,
-            ))
+            rows.append(ResultRow(method, spec.pilot_pattern.value, float(snr), mse, ber,
+                                  cfg.n_subframes, slot["time"], cfg.seed))
     return rows
 
 
@@ -337,10 +342,7 @@ def write_csv(rows, path) -> None:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in rows:
-                fh.write(",".join([
-                    r.method, r.pilot_pattern, _fmt(r.snr_db), _fmt(r.mse),
-                    _fmt(r.ber), str(r.subframes), _fmt(r.wall_time_s), str(r.seed),
-                ]) + "\n")
+                fh.write(",".join(_fmt(getattr(r, f.name)) for f in fields(ResultRow)) + "\n")
         os.replace(tmp, path)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
@@ -355,11 +357,6 @@ def read_csv(path):
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise IOError(f"{path}: unexpected CSV header")
-    rows = []
-    for ln in lines[1:]:
-        m, pat, snr, mse, ber, sub, wt, seed = ln.split(",")
-        rows.append(ResultRow(
-            method=m, pilot_pattern=pat, snr_db=float(snr), mse=float(mse),
-            ber=float(ber), subframes=int(sub), wall_time_s=float(wt),
-            seed=int(seed)))
-    return rows
+    kinds = typing.get_type_hints(ResultRow).values()
+    return [ResultRow(*(kind(cell) for kind, cell in zip(kinds, ln.split(","), strict=True)))
+            for ln in lines[1:]]

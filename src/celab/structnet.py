@@ -94,6 +94,8 @@ class TrainConfig:
             raise InvalidArgumentError("learning rates must be >= 0")
         if self.iil_window < 1:
             raise InvalidArgumentError("iil_window must be >= 1")
+        if self.n_h1 < 1 or self.n_h2 < 1:
+            raise InvalidArgumentError("n_h1 and n_h2 must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,18 @@ def init_model(h_ls: np.ndarray, stream: int, cfg: TrainConfig, seed) -> StructN
                           iil_kind=cfg.iil_kind, iil_window=cfg.iil_window, eps_mod=cfg.eps_mod)
 
 
+def _channel_layer(y, lam, h):
+    """The channel layer on a batch, y + lam * h: each model's samples y
+    (B, S, D) shifted by lam (B, S) along its desired channel h (B, D)."""
+    return y + lam[:, :, None] * h[:, None, :]
+
+
 def channel_layer_forward(model: StructNetModel, y_raw, shift: float) -> np.ndarray:
     """Shift the received vector along the desired channel: y + shift * h."""
-    return np.asarray(y_raw, dtype=float) + shift * model.desired
+    y = np.asarray(y_raw, dtype=float)
+    d = y.shape[-1]
+    lam = np.full((1, y.size // d), float(shift))
+    return _channel_layer(y.reshape(1, -1, d), lam, model.desired[None]).reshape(y.shape)
 
 
 def shift_grid(n_vectors: int, m_window: int, grid_cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
@@ -356,7 +367,7 @@ class _BatchTrainer:
     # -- forward pieces -------------------------------------------------
 
     def _channel_out(self):
-        return self.y + self.lam[:, :, None] * self.desired[:, None, :]
+        return _channel_layer(self.y, self.lam, self.desired)
 
     def _iil_modulo(self, s):
         """Sequential modulo; returns (output, per-vector quotients)."""
@@ -642,7 +653,7 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed, h_ls=None) -> n
     anchor, interference, *mlp, lam, y = (np.concatenate(a) for a in zip(*per_stream))
     trainer = _BatchTrainer(np.zeros_like(anchor), interference, mlp,
                             np.tile([1, 0], n_pairs_ref), lam,
-                            y + lam[:, :, None] * anchor[:, None, :], cfg, dtype=np.float32)
+                            _channel_layer(y, lam, anchor), cfg, dtype=np.float32)
     if cfg.epochs > 0:
         loss = _train_in_parts(trainer, cfg.epochs, _n_parts(trainer))
         if not np.all(np.isfinite(loss)):

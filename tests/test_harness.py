@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from celab.harness import (
     write_csv,
 )
 from celab.signal_model import PilotPattern
-from celab.structnet import IilKind
+from celab.structnet import IilKind, IilOrder
 
 
 def _write_config(tmp_path, text, name="exp.cfg"):
@@ -80,6 +81,92 @@ class TestParseConfig:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             config_from_items({"methods": "LS,Oracle"})
+
+    def test_duplicate_method(self):
+        # Both entries would add into one accumulator slot, doubling the MSE.
+        with pytest.raises(ConfigError, match="^duplicate method 'LS' for key 'methods'$"):
+            config_from_items({"methods": "LS,PerfectCSI,LS"})
+
+    def test_unknown_method_in_direct_config(self):
+        with pytest.raises(ConfigError, match="unknown method 'Oracle'"):
+            ExperimentConfig(methods=("Oracle",))
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_items({"seed": "-1"})
+        with pytest.raises(ConfigError, match="seed"):
+            replace(ExperimentConfig(), seed=-1)
+
+    @pytest.mark.parametrize("key", ["n_h1", "n_h2"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_hidden_width_below_one(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_items({key: value})
+
+    @pytest.mark.parametrize("key, text", [("snr_db", "nan"), ("snr_db", "0,NaN"),
+                                           ("pdp_decay", "nan"), ("lr_channel", "nan")])
+    def test_nan_rejected(self, key, text):
+        with pytest.raises(ConfigError, match=f"^bad value for key '{key}': {text}$"):
+            config_from_items({key: text})
+
+    def test_infinite_snr_is_noiseless(self):
+        cfg = config_from_items(
+            {"n_sc": "8", "n_subframes": "2", "snr_db": "inf", "methods": "LS"})
+        assert cfg.snr_db == (math.inf,)
+        assert run_sweep(cfg)[0].mse < 1e-15
+
+
+# Every config key, a non-default value for it, and the field it sets.
+KEY_CASES = [
+    ("n_tx", "3", "spec.n_tx", 3),
+    ("n_rx", "3", "spec.n_rx", 3),
+    ("n_sc", "32", "spec.n_sc", 32),
+    ("n_sym", "10", "spec.n_sym", 10),
+    ("n_pilot", "3", "spec.n_pilot", 3),
+    ("n_cp", "8", "spec.cp_len", 8),
+    ("pilot_pattern", " Orthogonal", "spec.pilot_pattern", PilotPattern.ORTHOGONAL),
+    ("qam_order", "64", "qam_order", 64),
+    ("pdp_taps", "5", "pdp_taps", 5),
+    ("pdp_decay", "1.5", "pdp_decay", 1.5),
+    ("snr_db", " 1, 2.5,inf", "snr_db", (1.0, 2.5, math.inf)),
+    ("n_subframes", "7", "n_subframes", 7),
+    ("methods", "PerfectCSI, LS", "methods", ("PerfectCSI", "LS")),
+    ("epochs", "0", "train.epochs", 0),
+    ("lr_classifier", "0.5", "train.lr_classifier", 0.5),
+    ("lr_channel", "0.25", "train.lr_channel", 0.25),
+    ("iil", "Shifting", "train.iil_kind", IilKind.SHIFTING),
+    ("iil_window", "2", "train.iil_window", 2),
+    ("iil_order", "given", "train.iil_order", IilOrder.GIVEN_ORDER),
+    ("update_interference", " No", "train.update_interference", False),
+    ("n_h1", "3", "train.n_h1", 3),
+    ("n_h2", "4", "train.n_h2", 4),
+    ("seed", "9", "seed", 9),
+    ("out", "x.csv", "out", "x.csv"),
+]
+
+
+class TestConfigKeys:
+    def test_keys_are_exactly_these(self):
+        assert sorted(harness._KEYS) == sorted(key for key, *_ in KEY_CASES)
+
+    @pytest.mark.parametrize("key, text, path, value", KEY_CASES,
+                             ids=[case[0] for case in KEY_CASES])
+    def test_key_sets_its_field_only(self, key, text, path, value):
+        default = ExperimentConfig()
+        part, _, name = path.rpartition(".")
+        if part:
+            assert getattr(getattr(default, part), name) != value
+            expected = replace(default, **{part: replace(getattr(default, part),
+                                                         **{name: value})})
+        else:
+            assert getattr(default, name) != value
+            expected = replace(default, **{name: value})
+        assert config_from_items({key: text}) == expected
+
+    @pytest.mark.parametrize("key", ["eps_mod", "grid_cap", "cp_len", "iil_kind"])
+    def test_field_names_without_a_key(self, key):
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            config_from_items({key: "1"})
 
 
 class TestRunSweep:
@@ -171,6 +258,20 @@ class TestCsv:
         assert path.read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    def test_rows_round_trip_field_for_field(self, tmp_path):
+        rows = [
+            ResultRow("LS", "orthogonal", 10.0, 0.125, 0.5, 5, 1.5, 42),
+            ResultRow("StructNetCE", "nonorthogonal", -3.5, 1.25e-12, 0.0, 200,
+                      0.001234, 0),
+            ResultRow("PerfectCSI", "nonorthogonal", math.inf, 0.0, 0.25, 1, 2.0, 7),
+        ]
+        path = str(tmp_path / "rows.csv")
+        write_csv(rows, path)
+        back = read_csv(path)
+        assert back == rows
+        assert all(type(getattr(b, name)) is type(getattr(r, name))
+                   for b, r in zip(back, rows) for name in vars(r))
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("method,snr\nLS,1\n")
@@ -209,6 +310,12 @@ class TestCli:
     def test_bad_config_is_diagnosed(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, "bogus=1\n")
         assert cli.main(["run", "--config", cfg_path]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_override_is_diagnosed(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path, SMALL)
+        out = str(tmp_path / "a.csv")
+        assert cli.main(["run", "--config", cfg_path, "--out", out, "--seed", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_presets_list(self, capsys):
