@@ -6,7 +6,6 @@ import time
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +39,7 @@ def _em_estimate(states, cell):
     return est
 
 
-class _Cell(NamedTuple):
+class _Cell(typing.NamedTuple):
     """What an estimator sees of one (subframe, SNR) cell."""
     h: np.ndarray          # true frequency response (n_sc, N_r, N_t)
     h_ls: np.ndarray       # the shared LS estimate; None when no method starts from it
