@@ -11,7 +11,10 @@ def snr_to_noise_var(snr_db: float, c: Constellation, n_tx: int) -> float:
 
     Under a unit-power channel the average receive signal power is
     n_tx * avg symbol energy, so sigma^2 = n_tx * E_s / 10^(snr/10).
+    An SNR of +inf is the noiseless case; -inf (no signal) is rejected.
     """
+    if not snr_db > -np.inf:
+        raise InvalidArgumentError(f"snr_db must be above -inf, got {snr_db}")
     return n_tx * c.avg_energy / (10.0 ** (snr_db / 10.0))
 
 

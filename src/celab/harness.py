@@ -81,8 +81,6 @@ class ExperimentConfig:
     out: str = "results.csv"
 
     def __post_init__(self):
-        if self.qam_order not in (4, 16, 64):
-            raise ConfigError(f"unsupported qam_order {self.qam_order}")
         if self.n_subframes < 1:
             raise ConfigError("n_subframes must be >= 1")
         if not self.snr_db:
@@ -96,6 +94,17 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method '{m}' for key 'methods'")
             if m in self.methods[:i]:
                 raise ConfigError(f"duplicate method '{m}' for key 'methods'")
+        try:
+            _sweep_setup(self)
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+def _sweep_setup(cfg: ExperimentConfig):
+    """The sweep's constellation, power delay profile and per-SNR noise variances."""
+    const = signal_model.build_constellation(cfg.qam_order)
+    pdp = channel_sim.exponential_pdp(cfg.pdp_taps, cfg.pdp_decay)
+    return const, pdp, [evaluation.snr_to_noise_var(s, const, cfg.spec.n_tx) for s in cfg.snr_db]
 
 
 @dataclass(frozen=True)
@@ -217,11 +226,8 @@ def run_sweep(cfg: ExperimentConfig):
     estimators see the identical Y and H within a subframe (paired design).
     """
     spec = cfg.spec
-    const = signal_model.build_constellation(cfg.qam_order)
-    pdp = channel_sim.exponential_pdp(cfg.pdp_taps, cfg.pdp_decay)
+    const, pdp, sigma2s = _sweep_setup(cfg)
     e_s = const.avg_energy
-
-    sigma2s = [evaluation.snr_to_noise_var(s, const, spec.n_tx) for s in cfg.snr_db]
     methods = [(m, *_METHODS[m]) for m in cfg.methods]
     states = {(m, i): init(spec, pdp, s2, e_s)
               for m, init, _, _ in methods if init is not None
@@ -277,7 +283,7 @@ def run_sweep(cfg: ExperimentConfig):
     for method in cfg.methods:
         for i, snr in enumerate(cfg.snr_db):
             slot = acc[(method, i)]
-            if slot["failed"] or slot["bits"] == 0:
+            if slot["failed"]:
                 mse, ber = float("nan"), float("nan")
             else:
                 mse = slot["mse"] / cfg.n_subframes
@@ -303,10 +309,7 @@ def bench_iil(n_tx_list, kinds=(IilKind.SHIFTING, IilKind.MODULO), epochs=500,
         desired = rng.normal(0.0, 0.5, (1, dim))
         interference = rng.normal(0.0, 0.5, (1, max(n_tx - 1, 0), dim))
         x_pam = rng.choice([-3.0, -1.0, 1.0, 3.0])
-        y_raw = rng.normal(0.0, 1.0, (1, 1, dim))
-        lam = structnet._pilot_shifts(x_pam)[None]
-        labels = np.array([1, 0])
-        y = np.repeat(y_raw, 2, axis=1)
+        labels, lam, y = structnet._binary_samples([[x_pam]], rng.normal(0.0, 1.0, (1, 1, dim)))
         for kind in kinds:
             cfg = TrainConfig(epochs=epochs, iil_kind=kind, iil_window=m_window,
                               grid_cap=grid_cap)

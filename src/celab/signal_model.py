@@ -8,7 +8,7 @@ spacing; the SNR convention in `evaluation` absorbs the energy scaling.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,11 +248,18 @@ def generate_data_grid(spec: SubframeSpec, c: Constellation, seed):
     return data, bits
 
 
+def child_seeds(seed, n: int) -> list:
+    """The n children `SeedSequence.spawn(n)` would give of `seed`, without
+    advancing its spawn counter, so a seed passed twice gives them twice."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [np.random.SeedSequence(ss.entropy, pool_size=ss.pool_size,
+                                   spawn_key=ss.spawn_key + (ss.n_children_spawned + i,))
+            for i in range(n)]
+
+
 def generate_transmit_grid(spec: SubframeSpec, c: Constellation, seed) -> TransmitGrid:
     """Pilots plus random data for one subframe."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    ss = seed.spawn(2)
+    ss = child_seeds(seed, 2)
     pilots = generate_pilot_grid(spec, c, ss[0])
     data, bits = generate_data_grid(spec, c, ss[1])
     return TransmitGrid(pilots=pilots, data=data, data_bits=bits)

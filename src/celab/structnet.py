@@ -10,8 +10,8 @@ share one channel-layer and IIL forward.
 `estimate_channel_structnet` trains every (subcarrier, stream) model at once
 through the batched trainer, `_BatchTrainer`.  The batched code is the only
 implementation: one initializer (`_init_stream`, `_init_mlp`), one forward
-(`_modulo`, `_grid_tanh_sum`, `_mlp`) and one pilot-shift rule
-(`_pilot_shifts`).  The single-model API (`init_model`, the `*_forward`
+(`_modulo`, `_grid_tanh_sum`, `_mlp`) and one pilot-sample rule
+(`_binary_samples`).  The single-model API (`init_model`, the `*_forward`
 functions, `sample_loss`, `train_epoch`) is a view of it with a batch of one.
 
 Precision.  `estimate_channel_structnet` trains in float32 around a float64
@@ -29,21 +29,22 @@ those pilots are fitted exactly by the LS estimate the learner starts from,
 so every training sample is a noise-free function of that estimate.
 
 Parallel parts.  Since no model shares anything with another, the batch
-trains as contiguous parts along the model axis, one thread per core
-(`_train_in_parts`): each part is a view of the one `_BatchTrainer` built
-for the whole batch (`_BatchTrainer.part`), whose updates write through to
-its arrays, and numpy releases the GIL inside its loops.  The numbers are
-bit for bit those of the whole batch in one thread.  A batch splits only when
-each part keeps at least `_PART_WORK` (model, sample, shift-grid point)
-triples (`_n_parts`): below that, thread hand-offs cost more than the second
-core gives.  The single-model view and `harness.bench_iil` train in one
-thread.
+trains as contiguous parts along the model axis, one per core
+(`_train_in_parts`): the first in the caller's thread, the others on a
+`concurrent.futures.ThreadPoolExecutor` that lives for the call.  Each part
+is a view of the one `_BatchTrainer` built for the whole batch
+(`_BatchTrainer.part`), whose updates write through to its arrays, and numpy
+releases the GIL inside its loops.  The numbers are bit for bit those of the
+whole batch in one thread.  A batch splits only when each part keeps at
+least `_PART_WORK` (model, sample, shift-grid point) triples (`_n_parts`):
+below that, thread hand-offs cost more than the second core gives.  The
+single-model view and `harness.bench_iil` train in one thread.
 """
 
 import copy
 import enum
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ from .errors import (
     ResourceLimitError,
     TrainingDivergenceError,
 )
-from .signal_model import complexify_channel, realify_channel_column, realify_signal
+from .signal_model import child_seeds, complexify_channel, realify_channel_column, realify_signal
 from .estimators import estimate_ls
 
 DEFAULT_GRID_CAP = 2_000_000
@@ -257,11 +258,15 @@ def _mlp(z, w1, b1, w2, b2, w3, b3):
     return a1, a2, _softmax(a2 @ w3.swapaxes(1, 2) + b3[:, None, :])
 
 
-def _pilot_shifts(x_pam) -> np.ndarray:
-    """Channel-layer shifts of the two binary samples of each PAM pilot level
-    x: -x+1 (label +1) then -x-1 (label -1), along a new last axis."""
+def _binary_samples(x_pam, y):
+    """The two binary samples of each PAM pilot level x, received as y: the
+    channel-layer shift -x+1 with class 1 (label +1), then -x-1 with class 0
+    (label -1), both on y.  For x (..., P) and y (..., P, D), returns the
+    class indices (2P,), the shifts (..., 2P) and the samples (..., 2P, D)."""
     x = np.asarray(x_pam, dtype=float)
-    return np.stack([-x + 1.0, -x - 1.0], axis=-1)
+    shifts = np.stack([-x + 1.0, -x - 1.0], axis=-1).reshape(x.shape[:-1] + (-1,))
+    samples = np.repeat(np.asarray(y, dtype=float), 2, axis=-2)
+    return np.tile([1, 0], x.shape[-1]), shifts, samples
 
 
 # -- single-model views: one model is a batch of one -----------------------
@@ -297,7 +302,7 @@ def classifier_forward(model: StructNetModel, z) -> np.ndarray:
 
 
 def make_training_samples(pilot_pairs) -> list:
-    """Two binary samples per pilot pair: labels +/-1 with shifts -x+1 and -x-1.
+    """Two binary samples per pilot pair (`_binary_samples`), labels +1 and -1.
 
     The shift is stored, not pre-applied, so the gradient flows through the
     channel layer's current weights.
@@ -307,10 +312,9 @@ def make_training_samples(pilot_pairs) -> list:
         x = float(x_pam)
         if x != round(x) or int(round(x)) % 2 == 0:
             raise InvalidArgumentError(f"{x_pam} is not a valid PAM level")
-        y = np.asarray(y_raw, dtype=float)
-        up, down = _pilot_shifts(x)
-        samples.append(TrainingSample(label=+1, y_raw=y, shift=float(up)))
-        samples.append(TrainingSample(label=-1, y_raw=y, shift=float(down)))
+        classes, shifts, ys = _binary_samples([x], [y_raw])
+        samples += [TrainingSample(label=2 * int(c) - 1, y_raw=y, shift=float(shift))
+                    for c, shift, y in zip(classes, shifts, ys)]
     return samples
 
 
@@ -484,46 +488,34 @@ class _BatchTrainer:
 
 
 def _n_parts(trainer: _BatchTrainer) -> int:
-    """Parts to train the batch in: one per core the process may run on, as
-    long as each keeps `_PART_WORK` (model, sample, grid point) triples."""
+    """Parts to train the batch in: one per core the process may run on (per
+    core of the machine where the platform cannot tell which), as long as
+    each keeps `_PART_WORK` (model, sample, grid point) triples."""
     grid = trainer.grid.shape[0] if trainer.cfg.iil_kind is IilKind.SHIFTING else 1
     work = trainer.y.shape[0] * trainer.n_samples * grid
-    return max(1, min(len(os.sched_getaffinity(0)), work // _PART_WORK))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cores or 1, work // _PART_WORK))
 
 
 def _train_in_parts(trainer: _BatchTrainer, n_epochs: int, n_parts: int) -> np.ndarray:
     """Train the batch as n_parts contiguous parts along the model axis, the
-    first in the caller's thread and each other in a thread of its own.
+    first in the caller's thread and the others on a thread pool.
 
     Returns the per-model loss after training, each part's computed by that
-    part.  An exception raised in any part is raised here, once every thread
+    part.  An exception raised in any part is raised here, once every part
     has ended.
     """
     bounds = [trainer.y.shape[0] * i // n_parts for i in range(n_parts + 1)]
     parts = [trainer.part(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    results = [None] * n_parts
 
-    def run(i):
-        try:
-            parts[i].run_epochs(n_epochs)
-            results[i] = parts[i].loss()
-        except BaseException as exc:  # raised again in the caller
-            results[i] = exc
+    def run(part):
+        part.run_epochs(n_epochs)
+        return part.loss()
 
-    threads = []
-    try:
-        for i in range(1, n_parts):
-            thread = threading.Thread(target=run, args=(i,), name=f"structnet-part-{i}")
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return np.concatenate(results)
+    with ThreadPoolExecutor(max(n_parts - 1, 1), "structnet-part") as pool:
+        futures = [pool.submit(run, part) for part in parts[1:]]
+        losses = [run(parts[0])] + [future.result() for future in futures]
+    return np.concatenate(losses)
 
 
 def _trainer_from_model(model: StructNetModel, samples, cfg: TrainConfig = None) -> _BatchTrainer:
@@ -621,38 +613,31 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed, h_ls=None) -> n
     n_tx = x_p.shape[1]
     if h_ls is None:
         h_ls = estimate_ls(y_p, x_p)       # (n_sc, N_r, N_t)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    # The children ss.spawn would give, without advancing ss's spawn counter.
-    seeds = [np.random.SeedSequence(ss.entropy, pool_size=ss.pool_size,
-                                    spawn_key=ss.spawn_key + (ss.n_children_spawned + i,))
-             for i in range(2 * n_tx)]
+    seeds = child_seeds(seed, 2 * n_tx)
 
     # All streams share sample count only when their antennas are active on
     # the same number of pilot slots (always true for both pilot patterns),
     # so every (subcarrier, stream) model trains in one batched pass.
+    active = np.any(x_p != 0, axis=0)      # (N_t, N_p)
+    n_slots = active.sum(axis=1)
+    odd = np.flatnonzero((n_slots == 0) | (n_slots != n_slots[0]))
+    if odd.size and n_slots[odd[0]] == 0:
+        raise InvalidArgumentError(f"antenna {odd[0]} transmits no pilot symbol")
+    if odd.size:
+        raise InvalidArgumentError("antennas differ in active pilot slot count")
     per_stream = []
-    n_pairs_ref = None
     for i in range(2 * n_tx):
-        antenna = i % n_tx
-        slots = [p for p in range(x_p.shape[2]) if np.any(x_p[:, antenna, p] != 0)]
-        if not slots:
-            raise InvalidArgumentError(f"antenna {antenna} transmits no pilot symbol")
-        if n_pairs_ref is None:
-            n_pairs_ref = len(slots)
-        elif len(slots) != n_pairs_ref:
-            raise InvalidArgumentError("antennas differ in active pilot slot count")
-        x_vals = x_p[:, antenna, slots].real if i < n_tx else x_p[:, antenna, slots].imag
+        slots = np.flatnonzero(active[i % n_tx])
+        x = x_p[:, i % n_tx, slots]
         y_real = realify_signal(np.transpose(y_p[:, :, slots], (0, 2, 1)))  # (n_sc, P, D)
-        lam = _pilot_shifts(x_vals).reshape(n_sc, -1)
-        y_samples = np.repeat(y_real, 2, axis=1)
+        classes, lam, y_samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
         desired, interference, mlp = _init_stream(h_ls, i, cfg,
                                                   np.random.default_rng(seeds[i]))
         per_stream.append((desired, interference, *mlp, lam, y_samples))
 
     # Streams stacked along the batch axis: stream i owns models [i*n_sc, (i+1)*n_sc).
     anchor, interference, *mlp, lam, y = (np.concatenate(a) for a in zip(*per_stream))
-    trainer = _BatchTrainer(np.zeros_like(anchor), interference, mlp,
-                            np.tile([1, 0], n_pairs_ref), lam,
+    trainer = _BatchTrainer(np.zeros_like(anchor), interference, mlp, classes, lam,
                             _channel_layer(y, lam, anchor), cfg, dtype=np.float32)
     if cfg.epochs > 0:
         loss = _train_in_parts(trainer, cfg.epochs, _n_parts(trainer))

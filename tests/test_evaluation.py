@@ -13,6 +13,12 @@ class TestSnrConversion:
         assert snr_to_noise_var(0.0, c, 2) == pytest.approx(20.0)
         assert snr_to_noise_var(10.0, c, 2) == pytest.approx(2.0)
 
+    def test_infinite_snr(self):
+        c = build_constellation(16)
+        assert snr_to_noise_var(np.inf, c, 2) == 0.0
+        with pytest.raises(InvalidArgumentError, match="-inf"):
+            snr_to_noise_var(-np.inf, c, 2)
+
     def test_empirical_receive_snr(self):
         spec = SubframeSpec(n_sc=64)
         const = build_constellation(16)

@@ -109,6 +109,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^bad value for key '{key}': {text}$"):
             config_from_items({key: text})
 
+    # Values the sweep's set-up refuses are refused when the config is built.
+    @pytest.mark.parametrize("key, text, match", [
+        ("qam_order", "8", "order 8"), ("pdp_decay", "0", "decay"),
+        ("pdp_decay", "-1", "decay"), ("snr_db", "-inf", "snr_db"),
+        ("snr_db", "10,-inf", "snr_db")])
+    def test_sweep_setup_checked_when_built(self, key, text, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_items({key: text})
+
+    def test_minus_infinite_snr_rejected_by_replace(self):
+        with pytest.raises(ConfigError, match="snr_db"):
+            replace(ExperimentConfig(), snr_db=(-math.inf,))
+
     def test_infinite_snr_is_noiseless(self):
         cfg = config_from_items(
             {"n_sc": "8", "n_subframes": "2", "snr_db": "inf", "methods": "LS"})

@@ -202,6 +202,17 @@ class TestPilotGrids:
         assert np.array_equal(grid.full, again.full)
         assert np.array_equal(grid.data_bits, again.data_bits)
 
+    def test_seed_sequence_not_advanced(self):
+        spec = SubframeSpec(n_sc=8)
+        c = build_constellation(16)
+        ss = np.random.SeedSequence(5)
+        a = generate_transmit_grid(spec, c, ss)
+        b = generate_transmit_grid(spec, c, ss)
+        assert ss.n_children_spawned == 0
+        for grid in (b, generate_transmit_grid(spec, c, 5)):
+            assert np.array_equal(a.full, grid.full)
+            assert np.array_equal(a.data_bits, grid.data_bits)
+
     def test_data_bits_align_with_symbols(self):
         spec = SubframeSpec(n_sc=4)
         c = build_constellation(16)

@@ -469,6 +469,24 @@ class TestEstimateChannel:
         monkeypatch.setattr(structnet, "estimate_ls", refuse)
         assert np.array_equal(estimate_channel_structnet(y_p, x_p, cfg, 23, h_ls=h_ls), want)
 
+    # Active pilot slots per antenna, over 3 antennas and 3 slots; the first
+    # antenna with no slot, or with another count than antenna 0's, is at fault.
+    @pytest.mark.parametrize("slots, match", [
+        ((2, 0, 0), "^antenna 1 transmits no pilot symbol$"),
+        ((0, 2, 0), "^antenna 0 transmits no pilot symbol$"),
+        ((2, 2, 0), "^antenna 2 transmits no pilot symbol$"),
+        ((2, 1, 2), "^antennas differ in active pilot slot count$"),
+        ((2, 1, 0), "^antennas differ in active pilot slot count$"),
+    ])
+    def test_pilot_slot_rule(self, slots, match):
+        x_p = np.zeros((4, 3, 3), dtype=complex)
+        for antenna, n in enumerate(slots):
+            x_p[:, antenna, :n] = 1.0 + 1.0j
+        y_p = np.ones((4, 2, 3), dtype=complex)
+        with pytest.raises(InvalidArgumentError, match=match):
+            estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=1), 0,
+                                       h_ls=np.zeros((4, 2, 3), dtype=complex))
+
     def test_shifting_cache_cap_allocates_nothing(self):
         # 4x4 at 64 subcarriers: the 7^7-point grid passes the grid cap, but
         # its backward cache would take ~1e11 bytes.
@@ -666,6 +684,14 @@ class TestParallelParts:
         assert n_parts(8, IilKind.SHIFTING) == 8  # 128 pairs x 343 grid points
         monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: {0})
         assert n_parts(256) == 1
+
+    def test_part_count_without_affinity(self, monkeypatch):
+        # Platforms without sched_getaffinity count the machine's cores.
+        monkeypatch.delattr(structnet.os, "sched_getaffinity")
+        trainer = _batch_trainer(IilKind.SHIFTING, 64, True)  # 64 x 4 samples x 27 points
+        for cpus, want in ((3, 3), (None, 1)):
+            monkeypatch.setattr(structnet.os, "cpu_count", lambda cpus=cpus: cpus)
+            assert structnet._n_parts(trainer) == want
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_part_exception_raised_in_caller(self, monkeypatch, failing):
