@@ -4,6 +4,7 @@ import math
 import os
 import time
 import typing
+import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 
@@ -224,6 +225,10 @@ def run_sweep(cfg: ExperimentConfig):
     """Run every requested estimator over the sweep; one ResultRow per
     (method, SNR) aggregate.  Fully reproducible from (config, seed); all
     estimators see the identical Y and H within a subframe (paired design).
+
+    A method that raises a `CelabError` in a cell stops at that SNR: its row
+    reads NaN, and one `RuntimeWarning` names the method, the SNR, the
+    subframe and the error.
     """
     spec = cfg.spec
     const, pdp, sigma2s = _sweep_setup(cfg)
@@ -276,8 +281,10 @@ def run_sweep(cfg: ExperimentConfig):
                     err, tot, _ = evaluation.compute_ber(grid.data_bits, bits_est)
                     slot["errors"] += err
                     slot["bits"] += tot
-                except CelabError:
+                except CelabError as exc:
                     slot["failed"] = True
+                    warnings.warn(f"{method} at {cfg.snr_db[i]:g} dB failed on subframe {sf}: "
+                                  f"{type(exc).__name__}: {exc}", RuntimeWarning, stacklevel=2)
 
     rows = []
     for method in cfg.methods:

@@ -224,14 +224,19 @@ def _modulo(s, interference, eps: float):
 
 def _grid_tanh_sum(s, interference, grid, chunk: int):
     """Sum over the shift grid (G, K) of tanh(s + 2 m . h), `chunk` grid
-    points at a time; returns (output, per-chunk tanh arrays (B, S, Gc, D))."""
+    points at a time; returns (output, per-chunk tanh arrays (B, S, D, Gc)).
+    The grid axis is innermost, so the broadcast add, the tanh and the sum
+    over the grid all run along contiguous rows of Gc values."""
     z = np.zeros_like(s)
     tanhs = []
+    n_models, n_vectors, dim = interference.shape
+    # (B*D, K), so each chunk's shifts are one GEMM rather than B small ones.
+    h_t = interference.swapaxes(1, 2).reshape(n_models * dim, n_vectors)
     for start in range(0, grid.shape[0], chunk):
-        shifts = 2.0 * np.matmul(grid[start:start + chunk], interference)  # (B, Gc, D)
-        t = s[:, :, None, :] + shifts[:, None, :, :]
-        np.tanh(t, out=t)  # in place: one (B, S, Gc, D) allocation, not two
-        z += t.sum(axis=2)
+        shifts = 2.0 * (h_t @ grid[start:start + chunk].T)  # (B*D, Gc)
+        t = s[..., None] + shifts.reshape(n_models, 1, dim, -1)
+        np.tanh(t, out=t)  # in place: one (B, S, D, Gc) allocation, not two
+        z += t.sum(axis=3)
         tanhs.append(t)
     return z, tanhs
 
@@ -380,13 +385,14 @@ class _BatchTrainer:
     def _iil_shifting(self, s):
         """Sum over the shift grid; returns (output, per-chunk tanh arrays).
 
-        The tanh arrays, (B, S, Gc, D) each, are the whole layer's backward
+        The tanh arrays, (B, S, D, Gc) each, are the whole layer's backward
         cache: together they hold G*B*S*D values.
         """
         return _grid_tanh_sum(s, self.interference, self.grid, self._CHUNK)
 
     def _iil_shifting_backward(self, tanhs, dz):
-        """Gradients w.r.t. the layer input and the interference weights.
+        """Gradients w.r.t. the layer input (B, S, D) and the interference
+        weights (B, K, D), from dz (B, S, D) and the (B, S, D, Gc) cache.
 
         Each cached t becomes dz * (1 - t^2) in place, so the cache is spent.
         """
@@ -396,9 +402,10 @@ class _BatchTrainer:
             grid_c = self.grid[start:start + self._CHUNK]
             np.multiply(t, t, out=t)
             np.subtract(1.0, t, out=t)
-            u = np.multiply(dz[:, :, None, :], t, out=t)
-            ds += u.sum(axis=2)
-            g_int += 2.0 * np.matmul(grid_c.T, u.sum(axis=1))
+            u = np.multiply(dz[..., None], t, out=t)
+            ds += u.sum(axis=3)
+            # u summed over the samples, (B, D, Gc), times the grid (Gc, K): (B, D, K).
+            g_int += 2.0 * np.matmul(u.sum(axis=1), grid_c).swapaxes(1, 2)
         return ds, g_int
 
     def _mlp_forward(self, z):
