@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from celab import cli, harness
-from celab.errors import ConfigError
+from celab.errors import ConfigError, TrainingDivergenceError
 from celab.harness import (
     CSV_HEADER,
     BenchRow,
@@ -235,6 +235,33 @@ class TestRunSweep:
             assert r.pilot_pattern == "nonorthogonal"
             assert r.subframes == 2
             assert 0.0 <= r.ber <= 1.0
+
+    def test_failed_cell_is_a_nan_row_and_a_warning(self, monkeypatch):
+        # Calls run subframe by subframe, SNR by SNR: the third is subframe 1
+        # at 10 dB, the only cell that fails.
+        calls = []
+        learner = harness.structnet.estimate_channel_structnet
+
+        def diverging(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise TrainingDivergenceError("non-finite loss during channel training")
+            return learner(*args, **kwargs)
+
+        monkeypatch.setattr(harness.structnet, "estimate_channel_structnet", diverging)
+        cfg = config_from_items({"n_sc": "8", "n_subframes": "3", "snr_db": "10,20",
+                                 "methods": "LS,StructNetCE", "epochs": "1"})
+        with pytest.warns(RuntimeWarning) as record:
+            rows = {(r.method, r.snr_db): r for r in run_sweep(cfg)}
+        assert [str(w.message) for w in record] == [
+            "StructNetCE at 10 dB failed on subframe 1: "
+            "TrainingDivergenceError: non-finite loss during channel training"]
+        failed = rows[("StructNetCE", 10.0)]
+        assert math.isnan(failed.mse) and math.isnan(failed.ber)
+        assert failed.subframes == 3
+        others = [r for key, r in rows.items() if key != ("StructNetCE", 10.0)]
+        assert all(math.isfinite(r.mse) and math.isfinite(r.ber) for r in others)
+        assert len(calls) == 5  # the failed SNR is skipped on subframe 2
 
 
 class TestCsv:

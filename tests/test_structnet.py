@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -177,6 +178,42 @@ class TestShiftingIil:
             want = np.tanh(z + 8 * h) - np.tanh(z - 6 * h)
             assert np.allclose(f1 - f0, want, atol=1e-12)
             assert np.all(np.abs(f1 - f0) <= np.abs(np.tanh(z + 8 * h)) + np.abs(np.tanh(z - 6 * h)) + 1e-12)
+
+    # K = 0 is one transmit antenna's (1, 0) grid; K = 3 with window 1 is 27
+    # grid points, which chunks of 5 split into five full chunks and one of 2.
+    @pytest.mark.parametrize("chunk", [None, 5])
+    @pytest.mark.parametrize("n_batch", [1, 3])
+    @pytest.mark.parametrize("n_k, window", [(0, 3), (1, 3), (3, 1)])
+    def test_layer_and_backward_match_a_loop_over_grid_points(
+            self, monkeypatch, n_k, window, n_batch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(_BatchTrainer, "_CHUNK", chunk)
+        rng = np.random.default_rng(31)
+        d, n_samples = 4, 6
+        s = rng.normal(0.0, 1.5, (n_batch, n_samples, d))
+        dz = rng.normal(0.0, 1.0, (n_batch, n_samples, d))
+        interference = rng.normal(0.0, 0.7, (n_batch, n_k, d))
+
+        # Reference: sum_g tanh(s + 2 m_g . h), one grid point at a time.
+        z_ref, ds_ref = np.zeros_like(s), np.zeros_like(s)
+        g_ref = np.zeros_like(interference)
+        for m in itertools.product(range(-window, window + 1), repeat=n_k):
+            m = np.array(m, dtype=float)
+            t = np.tanh(s + 2.0 * np.einsum("k,bkd->bd", m, interference)[:, None, :])
+            u = dz * (1.0 - t * t)
+            z_ref += t
+            ds_ref += u
+            g_ref += 2.0 * m[None, :, None] * u.sum(axis=1)[:, None, :]
+
+        mlp = structnet._init_mlp(rng, n_batch, d, TrainConfig())
+        tr = _BatchTrainer(np.zeros((n_batch, d)), interference, mlp,
+                           np.tile([1, 0], n_samples // 2), np.zeros((n_batch, n_samples)), s,
+                           TrainConfig(iil_kind=IilKind.SHIFTING, iil_window=window))
+        z, cache = tr._iil_shifting(s)
+        ds, g_int = tr._iil_shifting_backward(cache, dz)
+        for got, want in ((z, z_ref), (ds, ds_ref), (g_int, g_ref)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestModuloIil:
