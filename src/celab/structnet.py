@@ -36,9 +36,13 @@ is a view of the one `_BatchTrainer` built for the whole batch
 (`_BatchTrainer.part`), whose updates write through to its arrays, and numpy
 releases the GIL inside its loops.  The numbers are bit for bit those of the
 whole batch in one thread.  A batch splits only when each part keeps at
-least `_PART_WORK` (model, sample, shift-grid point) triples (`_n_parts`):
-below that, thread hand-offs cost more than the second core gives.  The
-single-model view and `harness.bench_iil` train in one thread.
+least one model and `_PART_WORK` (model, sample, shift-grid point) triples
+(`_n_parts`).  The threshold was measured on the modulo layer, where below
+it thread hand-offs cost more than the second core gives.  Counting grid
+points as work overstates the shifting layer's cost, whose grid runs along
+contiguous rows: its 64-subcarrier 2x2 batch splits in two, though one
+thread trains it faster.  The single-model view and `harness.bench_iil`
+train in one thread.
 """
 
 import copy
@@ -234,7 +238,7 @@ def _grid_tanh_sum(s, interference, grid, chunk: int):
     h_t = interference.swapaxes(1, 2).reshape(n_models * dim, n_vectors)
     for start in range(0, grid.shape[0], chunk):
         shifts = 2.0 * (h_t @ grid[start:start + chunk].T)  # (B*D, Gc)
-        t = s[..., None] + shifts.reshape(n_models, 1, dim, -1)
+        t = s[..., None] + shifts.reshape(n_models, 1, dim, shifts.shape[1])
         np.tanh(t, out=t)  # in place: one (B, S, D, Gc) allocation, not two
         z += t.sum(axis=3)
         tanhs.append(t)
@@ -497,11 +501,13 @@ class _BatchTrainer:
 def _n_parts(trainer: _BatchTrainer) -> int:
     """Parts to train the batch in: one per core the process may run on (per
     core of the machine where the platform cannot tell which), as long as
-    each keeps `_PART_WORK` (model, sample, grid point) triples."""
+    each keeps `_PART_WORK` (model, sample, grid point) triples and at least
+    one model."""
+    n_models = trainer.y.shape[0]
     grid = trainer.grid.shape[0] if trainer.cfg.iil_kind is IilKind.SHIFTING else 1
-    work = trainer.y.shape[0] * trainer.n_samples * grid
+    work = n_models * trainer.n_samples * grid
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cores or 1, work // _PART_WORK))
+    return max(1, min(cores or 1, work // _PART_WORK, n_models))
 
 
 def _train_in_parts(trainer: _BatchTrainer, n_epochs: int, n_parts: int) -> np.ndarray:
