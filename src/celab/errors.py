@@ -18,7 +18,7 @@ class NumericalFailureError(CelabError):
 
 
 class TrainingDivergenceError(CelabError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or channel weight."""
 
 
 class ResourceLimitError(CelabError):

@@ -38,11 +38,22 @@ releases the GIL inside its loops.  The numbers are bit for bit those of the
 whole batch in one thread.  A batch splits only when each part keeps at
 least one model and `_PART_WORK` (model, sample, shift-grid point) triples
 (`_n_parts`).  The threshold was measured on the modulo layer, where below
-it thread hand-offs cost more than the second core gives.  Counting grid
-points as work overstates the shifting layer's cost, whose grid runs along
-contiguous rows: its 64-subcarrier 2x2 batch splits in two, though one
-thread trains it faster.  The single-model view and `harness.bench_iil`
-train in one thread.
+it thread hand-offs cost more than the second core gives.  The single-model
+view and `harness.bench_iil` train in one thread.
+
+BLAS calls.  A part makes only per-model BLAS calls: every matmul of an
+epoch and of `loss` is a stack of one small product per model.  The
+largest are the shifting layer's (D, K) @ (K, G) shifts and its backward's
+(D, G) @ (G, K), D*K*G multiply-adds each: 4116 at 2x2, 5.0e5 at 3x3.
+OpenBLAS spreads a product over n threads only from about n * 2.6e5
+multiply-adds, so up to 3x3 no part starts BLAS threads of its own and the
+busy threads are the parts.  One flat (B*D, K) @ (K, G) product for a
+part's shifts crosses that line at 128 models (5.3e5): with BLAS allowed
+both cores of a 2-core machine, two parts then kept four threads busy, and
+the 64-subcarrier 2x2 shifting sweep trained 13.2 cells/s in two parts
+against 14.0 in one.  With per-model products it trains ~23 cells/s in two
+parts against ~15 in one, with one BLAS thread or two (numpy 2.4, OpenBLAS
+0.3.31).
 """
 
 import copy
@@ -233,12 +244,13 @@ def _grid_tanh_sum(s, interference, grid, chunk: int):
     over the grid all run along contiguous rows of Gc values."""
     z = np.zeros_like(s)
     tanhs = []
-    n_models, n_vectors, dim = interference.shape
-    # (B*D, K), so each chunk's shifts are one GEMM rather than B small ones.
-    h_t = interference.swapaxes(1, 2).reshape(n_models * dim, n_vectors)
+    h = np.ascontiguousarray(interference.swapaxes(1, 2))  # (B, D, K)
     for start in range(0, grid.shape[0], chunk):
-        shifts = 2.0 * (h_t @ grid[start:start + chunk].T)  # (B*D, Gc)
-        t = s[..., None] + shifts.reshape(n_models, 1, dim, shifts.shape[1])
+        # B per-model products (D, K) @ (K, Gc), each far below OpenBLAS's
+        # threading threshold; one flat (B*D, K) GEMM crosses it (module
+        # docstring, "BLAS calls").
+        shifts = np.matmul(h, 2.0 * np.ascontiguousarray(grid[start:start + chunk].T))
+        t = s[..., None] + shifts[:, None]
         np.tanh(t, out=t)  # in place: one (B, S, D, Gc) allocation, not two
         z += t.sum(axis=3)
         tanhs.append(t)
@@ -478,10 +490,13 @@ class _BatchTrainer:
         """Alternation: one classifier step, then one channel step, per epoch.
 
         The classifier step leaves the channel weights as they are, so both
-        steps share one channel-layer and IIL forward.
+        steps share one channel-layer and IIL forward.  An epoch that leaves
+        a channel weight non-finite raises `TrainingDivergenceError`; a NaN
+        in an MLP weight reaches the channel weights through the same
+        epoch's channel step.
         """
         cfg = self.cfg
-        for _ in range(n_epochs):
+        for epoch in range(n_epochs):
             fwd = self._forward()
             # g_mlp stays bound until the next epoch's replaces it.  Freed at
             # the end of each epoch, its weight-sized arrays let malloc trim
@@ -496,6 +511,8 @@ class _BatchTrainer:
             self.desired -= cfg.lr_channel * g["desired"]
             if cfg.update_interference:
                 self.interference -= cfg.lr_channel * g["interference"]
+            if not (np.isfinite(self.desired).all() and np.isfinite(self.interference).all()):
+                raise TrainingDivergenceError(f"non-finite channel weight in epoch {epoch + 1}")
 
 
 def _n_parts(trainer: _BatchTrainer) -> int:

@@ -767,6 +767,36 @@ class TestParallelParts:
         with pytest.raises(TrainingDivergenceError):
             estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=2), 31)
 
+    @pytest.mark.parametrize("n_parts,diverging",
+                             [(1, "caller"), (2, "caller"), (2, "worker")])
+    def test_part_going_nonfinite_stops_within_an_epoch(self, monkeypatch, n_parts,
+                                                        diverging):
+        # The diverging part's classifier step of epoch 4 (0-based 3) of 50
+        # puts a NaN into w3; its channel step carries it into the channel
+        # weights.  Each epoch makes two `_grads` calls.
+        n_epochs, bad_epoch = 50, 3
+        grads = _BatchTrainer._grads
+        calls = {}
+
+        def grads_with_nan(self, fwd=None, mlp=True, channel=True):
+            in_caller = threading.current_thread() is threading.main_thread()
+            key = "diverging" if in_caller == (diverging == "caller") else "healthy"
+            calls[key] = calls.get(key, 0) + 1
+            g = grads(self, fwd, mlp, channel)
+            if key == "diverging" and calls[key] == 2 * bad_epoch + 1:
+                g["w3"][0, 0, 0] = np.nan
+            return g
+
+        monkeypatch.setattr(_BatchTrainer, "_grads", grads_with_nan)
+        monkeypatch.setattr(structnet, "_n_parts", lambda trainer: n_parts)
+        y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 34)
+        for kind in (IilKind.MODULO, IilKind.SHIFTING):
+            calls.clear()
+            cfg = TrainConfig(epochs=n_epochs, iil_kind=kind)
+            with pytest.raises(TrainingDivergenceError, match="epoch 4"):
+                estimate_channel_structnet(y_p, x_p, cfg, 35)
+            assert calls["diverging"] == 2 * (bad_epoch + 1), kind
+
     def test_cache_cap_checked_for_the_whole_batch(self, monkeypatch):
         # 2x2 at 16 subcarriers: 64 models x 4 samples x 4 reals x 343 grid
         # points in float32; the cap lies between half of that and all of it.
