@@ -52,12 +52,14 @@ class NoiseSpec:
 
 
 def exponential_pdp(num_taps: int, decay: float) -> PowerDelayProfile:
-    """PDP with delays 0..num_taps-1 and powers proportional to exp(-p/decay)."""
+    """PDP with delays 0..num_taps-1 and powers proportional to exp(-p/decay),
+    floored at the smallest normal float so that no tap underflows to 0."""
     if num_taps < 1:
         raise InvalidArgumentError("num_taps must be >= 1")
     if decay <= 0:
         raise InvalidArgumentError("decay must be > 0")
-    powers = np.exp(-np.arange(num_taps) / decay)
+    with np.errstate(over="ignore"):  # p/decay is inf for a near-zero decay
+        powers = np.maximum(np.exp(-np.arange(num_taps) / decay), np.finfo(float).tiny)
     return PowerDelayProfile(delays=np.arange(num_taps), powers=powers / powers.sum())
 
 

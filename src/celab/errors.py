@@ -22,7 +22,7 @@ class TrainingDivergenceError(CelabError):
 
 
 class ResourceLimitError(CelabError):
-    """A configured resource cap (e.g. shift-grid size) was exceeded."""
+    """A configured resource cap (the shifting IIL's cache bytes) was exceeded."""
 
 
 class DegenerateRatioError(CelabError):

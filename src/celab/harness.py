@@ -144,7 +144,7 @@ PRESETS = {
 # Config keys are the field names of SubframeSpec, TrainConfig and
 # ExperimentConfig, except these two; the fields in _FIXED take no key.
 _KEY_OF_FIELD = {"cp_len": "n_cp", "iil_kind": "iil"}
-_FIXED = frozenset({"eps_mod", "grid_cap"})
+_FIXED = frozenset({"eps_mod"})
 
 # {config key: (owning dataclass, field name, field type)}
 _KEYS = {_KEY_OF_FIELD.get(name, name): (owner, name, kind)
@@ -301,13 +301,13 @@ def run_sweep(cfg: ExperimentConfig):
 
 
 def bench_iil(n_tx_list, kinds=(IilKind.SHIFTING, IilKind.MODULO), epochs=500,
-              seed=0, m_window=3, grid_cap=structnet.DEFAULT_GRID_CAP):
+              seed=0, m_window=3):
     """Wall-time of the training loop for single-subcarrier toy models.
 
     Interference is accounted per transmit antenna (n_tx - 1 vectors), so
-    the shifting grid grows as (2M+1)^(n_tx-1).  Shifting configurations
-    whose grid exceeds the cap are reported as skipped; modulo rows are
-    always produced.
+    the shifting grid grows as (2M+1)^(n_tx-1).  A shifting configuration
+    whose backward cache would exceed `structnet.CACHE_BYTE_CAP` is reported
+    as skipped, before its grid is built; modulo rows are always produced.
     """
     rows = []
     rng = np.random.default_rng(seed)
@@ -318,8 +318,7 @@ def bench_iil(n_tx_list, kinds=(IilKind.SHIFTING, IilKind.MODULO), epochs=500,
         x_pam = rng.choice([-3.0, -1.0, 1.0, 3.0])
         labels, lam, y = structnet._binary_samples([[x_pam]], rng.normal(0.0, 1.0, (1, 1, dim)))
         for kind in kinds:
-            cfg = TrainConfig(epochs=epochs, iil_kind=kind, iil_window=m_window,
-                              grid_cap=grid_cap)
+            cfg = TrainConfig(epochs=epochs, iil_kind=kind, iil_window=m_window)
             mlp = structnet._init_mlp(np.random.default_rng(seed + n_tx), 1, dim, cfg)
             try:
                 trainer = structnet._BatchTrainer(

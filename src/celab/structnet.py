@@ -11,16 +11,16 @@ share one channel-layer and IIL forward.
 through the batched trainer, `_BatchTrainer`.  The batched code is the only
 implementation: one initializer (`_init_stream`, `_init_mlp`), one forward
 (`_modulo`, `_grid_tanh_sum`, `_mlp`) and one pilot-sample rule
-(`_binary_samples`).  The single-model API (`init_model`, the `*_forward`
-functions, `sample_loss`, `train_epoch`) is a view of it with a batch of one.
+(`_binary_samples`).  `model_forward` runs one `StructNetModel` through it
+as a batch of one.
 
 Precision.  `estimate_channel_structnet` trains in float32 around a float64
 anchor, the LS estimate: the channel layer's input at the anchor,
 y + lambda * h_LS, is formed in float64, the trainer's desired weights hold
 only the change from h_LS (starting at 0), and the estimate h_LS + change is
-summed in float64, so zero epochs return LS exactly.  The single-model view
-keeps the trainer's float64 default, since its gradients are checked against
-finite differences, which float32 rounding would swamp.
+summed in float64, so zero epochs return LS exactly.  The trainer's default
+stays float64, as does `model_forward`: their gradients and outputs are
+checked against finite differences and to 1e-9, which float32 would swamp.
 
 No structure across subcarriers enters the learner: batching shares no
 weight, gradient or sample between subcarriers, so each model sees only its
@@ -38,8 +38,8 @@ releases the GIL inside its loops.  The numbers are bit for bit those of the
 whole batch in one thread.  A batch splits only when each part keeps at
 least one model and `_PART_WORK` (model, sample, shift-grid point) triples
 (`_n_parts`).  The threshold was measured on the modulo layer, where below
-it thread hand-offs cost more than the second core gives.  The single-model
-view and `harness.bench_iil` train in one thread.
+it thread hand-offs cost more than the second core gives.  `harness.bench_iil`
+trains in one thread.
 
 BLAS calls.  A part makes only per-model BLAS calls: every matmul of an
 epoch and of `loss` is a stack of one small product per model.  The
@@ -59,6 +59,7 @@ parts against ~15 in one, with one BLAS thread or two (numpy 2.4, OpenBLAS
 import copy
 import enum
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -73,9 +74,10 @@ from .errors import (
 from .signal_model import child_seeds, complexify_channel, realify_channel_column, realify_signal
 from .estimators import estimate_ls
 
-DEFAULT_GRID_CAP = 2_000_000
 # Bytes the shifting IIL's backward cache (G*B*S*D values) may take.  The
-# largest cache built by the tests, c11's 8x8 toy, is 105 MB in float32.
+# largest cache built by the tests, c11's 8x8 toy, is 105 MB in float32.  It
+# also bounds the int64 (G, K) shift grid, built after the check: in the
+# learner (K = 2*N_t - 1 < B models, S, D >= 2) that is under half the cache.
 CACHE_BYTE_CAP = 1 << 29
 
 
@@ -101,7 +103,6 @@ class TrainConfig:
     eps_mod: float = 1e-6
     n_h1: int = 16
     n_h2: int = 32
-    grid_cap: int = DEFAULT_GRID_CAP
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -112,13 +113,6 @@ class TrainConfig:
             raise InvalidArgumentError("iil_window must be >= 1")
         if self.n_h1 < 1 or self.n_h2 < 1:
             raise InvalidArgumentError("n_h1 and n_h2 must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrainingSample:
-    label: int          # -1 or +1
-    y_raw: np.ndarray   # received pilot vector, length 2*N_r
-    shift: float        # lambda, applied through the channel layer
 
 
 # Work, in (model, sample, shift-grid point) triples, each parallel part must
@@ -146,10 +140,6 @@ class StructNetModel:
     iil_kind: IilKind = IilKind.MODULO
     iil_window: int = 3
     eps_mod: float = 1e-6
-
-    def flatten(self) -> np.ndarray:
-        """Flat numeric snapshot of all weights (for test fixtures)."""
-        return np.concatenate([getattr(self, name).ravel() for name in _WEIGHTS])
 
 
 def _init_mlp(rng, n_models: int, dim: int, cfg: TrainConfig) -> tuple:
@@ -180,19 +170,6 @@ def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng):
     return desired, interference, _init_mlp(rng, n_sc, 2 * n_rx, cfg)
 
 
-def init_model(h_ls: np.ndarray, stream: int, cfg: TrainConfig, seed) -> StructNetModel:
-    """Initialize a stream's model from the LS estimate (N_r, N_t).
-
-    The desired weights are the stream's realified channel column; the
-    interference weights are the realified columns of all other realized
-    streams, ordered per cfg.iil_order.  MLP weights are N(0, 0.1), biases 0.
-    """
-    h_ls = np.asarray(h_ls, dtype=complex)[None]
-    desired, interference, mlp = _init_stream(h_ls, stream, cfg, np.random.default_rng(seed))
-    return StructNetModel(*(w[0] for w in (desired, interference, *mlp)),
-                          iil_kind=cfg.iil_kind, iil_window=cfg.iil_window, eps_mod=cfg.eps_mod)
-
-
 def _channel_layer(y, lam, h):
     """The channel layer on a batch, y + lam * h: each model's samples y
     (B, S, D) shifted by lam (B, S) along its desired channel h (B, D)."""
@@ -207,13 +184,9 @@ def channel_layer_forward(model: StructNetModel, y_raw, shift: float) -> np.ndar
     return _channel_layer(y.reshape(1, -1, d), lam, model.desired[None]).reshape(y.shape)
 
 
-def shift_grid(n_vectors: int, m_window: int, grid_cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
+def shift_grid(n_vectors: int, m_window: int) -> np.ndarray:
     """All integer shift tuples (m_1..m_K) in [-M, M]^K, shape (G, K)."""
     size = (2 * m_window + 1) ** n_vectors
-    if size > grid_cap:
-        raise ResourceLimitError(
-            f"shift grid size {size} exceeds cap {grid_cap}"
-        )
     if n_vectors == 0:
         return np.zeros((1, 0), dtype=int)
     axes = np.meshgrid(*([np.arange(-m_window, m_window + 1)] * n_vectors), indexing="ij")
@@ -290,18 +263,6 @@ def _binary_samples(x_pam, y):
     return np.tile([1, 0], x.shape[-1]), shifts, samples
 
 
-# -- single-model views: one model is a batch of one -----------------------
-def iil_shifting_forward(z, interference, m_window: int,
-                         grid_cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
-    """Truncated periodic sum: sum over the shift grid of tanh(z + 2 m . h)."""
-    z = np.asarray(z, dtype=float)
-    d = z.shape[-1]
-    interference = np.asarray(interference, dtype=float).reshape(1, -1, d)
-    grid = shift_grid(interference.shape[1], m_window, grid_cap).astype(float)
-    out, _ = _grid_tanh_sum(z.reshape(1, -1, d), interference, grid, _BatchTrainer._CHUNK)
-    return out.reshape(z.shape)
-
-
 def iil_modulo_forward(z, interference, eps: float):
     """Sequential elementwise modulo by 2*h_j; returns (output, quotient list).
 
@@ -312,31 +273,6 @@ def iil_modulo_forward(z, interference, eps: float):
     interference = np.asarray(interference, dtype=float).reshape(1, -1, d)
     out, alphas = _modulo(z.reshape(1, -1, d), interference, eps)
     return out.reshape(z.shape), [a.reshape(z.shape) for a in alphas]
-
-
-def classifier_forward(model: StructNetModel, z) -> np.ndarray:
-    """Two-class probabilities (index 0: label -1, index 1: label +1)."""
-    z = np.asarray(z, dtype=float)
-    mlp = (getattr(model, name)[None] for name in _WEIGHTS[2:])
-    _, _, p = _mlp(z.reshape(1, -1, z.shape[-1]), *mlp)
-    return p.reshape(z.shape[:-1] + (2,))
-
-
-def make_training_samples(pilot_pairs) -> list:
-    """Two binary samples per pilot pair (`_binary_samples`), labels +1 and -1.
-
-    The shift is stored, not pre-applied, so the gradient flows through the
-    channel layer's current weights.
-    """
-    samples = []
-    for x_pam, y_raw in pilot_pairs:
-        x = float(x_pam)
-        if x != round(x) or int(round(x)) % 2 == 0:
-            raise InvalidArgumentError(f"{x_pam} is not a valid PAM level")
-        classes, shifts, ys = _binary_samples([x], [y_raw])
-        samples += [TrainingSample(label=2 * int(c) - 1, y_raw=y, shift=float(shift))
-                    for c, shift, y in zip(classes, shifts, ys)]
-    return samples
 
 
 class _BatchTrainer:
@@ -377,8 +313,7 @@ class _BatchTrainer:
             if cache_bytes > CACHE_BYTE_CAP:
                 raise ResourceLimitError(
                     f"shifting IIL cache of {cache_bytes} bytes exceeds cap {CACHE_BYTE_CAP}")
-            self.grid = shift_grid(self.interference.shape[1], cfg.iil_window,
-                                   cfg.grid_cap).astype(dtype)
+            self.grid = shift_grid(self.interference.shape[1], cfg.iil_window).astype(dtype)
 
     def part(self, lo: int, hi: int) -> "_BatchTrainer":
         """Models [lo, hi) as a trainer of their own: a shallow copy whose
@@ -486,17 +421,20 @@ class _BatchTrainer:
         g["desired"] = np.matmul(self.lam[:, None, :], ds)[:, 0, :]
         return g
 
-    def run_epochs(self, n_epochs: int) -> None:
+    def run_epochs(self, n_epochs: int, stop: threading.Event = None) -> None:
         """Alternation: one classifier step, then one channel step, per epoch.
 
         The classifier step leaves the channel weights as they are, so both
         steps share one channel-layer and IIL forward.  An epoch that leaves
         a channel weight non-finite raises `TrainingDivergenceError`; a NaN
         in an MLP weight reaches the channel weights through the same
-        epoch's channel step.
+        epoch's channel step.  Training ends early, before the next epoch,
+        once `stop` is set.
         """
         cfg = self.cfg
         for epoch in range(n_epochs):
+            if stop is not None and stop.is_set():
+                return
             fwd = self._forward()
             # g_mlp stays bound until the next epoch's replaces it.  Freed at
             # the end of each epoch, its weight-sized arrays let malloc trim
@@ -533,13 +471,18 @@ def _train_in_parts(trainer: _BatchTrainer, n_epochs: int, n_parts: int) -> np.n
 
     Returns the per-model loss after training, each part's computed by that
     part.  An exception raised in any part is raised here, once every part
-    has ended.
+    has ended; the other parts stop before their next epoch.
     """
     bounds = [trainer.y.shape[0] * i // n_parts for i in range(n_parts + 1)]
     parts = [trainer.part(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    failed = threading.Event()
 
     def run(part):
-        part.run_epochs(n_epochs)
+        try:
+            part.run_epochs(n_epochs, failed)
+        except BaseException:
+            failed.set()
+            raise
         return part.loss()
 
     with ThreadPoolExecutor(max(n_parts - 1, 1), "structnet-part") as pool:
@@ -548,56 +491,21 @@ def _train_in_parts(trainer: _BatchTrainer, n_epochs: int, n_parts: int) -> np.n
     return np.concatenate(losses)
 
 
-def _trainer_from_model(model: StructNetModel, samples, cfg: TrainConfig = None) -> _BatchTrainer:
-    """A batch-of-one trainer over the model's weights and the samples; the
-    IIL settings are the model's, and a given cfg must agree with them."""
-    if not samples:
-        raise InvalidArgumentError("at least one training sample is required")
-    iil = {"iil_kind": model.iil_kind, "iil_window": model.iil_window,
-           "eps_mod": model.eps_mod}
-    if cfg is None:
-        cfg = TrainConfig(**iil)
-    elif any(getattr(cfg, key) != value for key, value in iil.items()):
-        raise InvalidArgumentError(f"config IIL settings differ from the model's {iil}")
-    return _BatchTrainer(
-        desired=model.desired[None, :],
-        interference=model.interference[None, :, :],
-        mlp=tuple(getattr(model, name)[None] for name in _WEIGHTS[2:]),
-        labels=np.array([1 if s.label > 0 else 0 for s in samples]),
-        lam=np.array([[s.shift for s in samples]]),
-        y=np.stack([s.y_raw for s in samples])[None, :, :],
-        cfg=cfg,
-    )
-
-
 def model_forward(model: StructNetModel, y_raw, shift: float) -> np.ndarray:
-    """Full pipeline: channel layer -> IIL -> binary classifier probabilities."""
+    """Full pipeline: channel layer -> IIL -> binary classifier probabilities,
+    run as a batch-of-one trainer with the model's IIL settings."""
     y = np.asarray(y_raw, dtype=float)
-    rows = y.reshape(-1, y.shape[-1])
-    trainer = _trainer_from_model(model, [TrainingSample(+1, r, shift) for r in rows])
+    rows = y.reshape(1, -1, y.shape[-1])
+    if rows.shape[1] == 0:
+        raise InvalidArgumentError("at least one received vector is required")
+    cfg = TrainConfig(iil_kind=model.iil_kind, iil_window=model.iil_window,
+                      eps_mod=model.eps_mod)
+    trainer = _BatchTrainer(model.desired[None], model.interference[None],
+                            tuple(getattr(model, name)[None] for name in _WEIGHTS[2:]),
+                            np.ones(rows.shape[1]), np.full(rows.shape[:2], float(shift)),
+                            rows, cfg)
     _, _, p = trainer._mlp_forward(trainer._forward()[0])
     return p[0].reshape(y.shape[:-1] + (2,))
-
-
-def sample_loss(model: StructNetModel, samples) -> float:
-    """Mean binary cross-entropy of the current model over the samples."""
-    return float(_trainer_from_model(model, samples).loss()[0])
-
-
-def train_epoch(model: StructNetModel, samples, cfg: TrainConfig) -> float:
-    """One alternating epoch (classifier step, then channel step) in place.
-
-    cfg supplies the learning rates; its IIL settings must be the model's.
-    Returns the post-update mean cross-entropy loss.
-    """
-    trainer = _trainer_from_model(model, samples, cfg)
-    trainer.run_epochs(1)
-    for name in _WEIGHTS:
-        setattr(model, name, getattr(trainer, name)[0])
-    loss = float(trainer.loss()[0])
-    if not np.isfinite(loss):
-        raise TrainingDivergenceError(f"non-finite training loss ({loss})")
-    return loss
 
 
 def detect_multinomial(model: StructNetModel, y, posterior=None) -> np.ndarray:

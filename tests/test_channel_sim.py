@@ -31,6 +31,11 @@ class TestPowerDelayProfile:
         assert abs(pdp.powers.sum() - 1.0) < 1e-12
         assert np.all(np.diff(pdp.powers) < 0)
 
+    def test_short_decay_keeps_every_tap(self):
+        pdp = exponential_pdp(3, 0.001)
+        assert pdp.powers[0] == 1.0
+        assert np.all(pdp.powers[1:] == np.finfo(float).tiny)
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidArgumentError):
             exponential_pdp(0, 3.0)

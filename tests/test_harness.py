@@ -118,6 +118,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             config_from_items({key: text})
 
+    def test_short_decay_accepted(self):
+        # exp(-1/0.001) underflows to 0; the second tap is kept, tiny.
+        cfg = config_from_items({"pdp_decay": "0.001", "pdp_taps": "2"})
+        assert (cfg.pdp_decay, cfg.pdp_taps) == (0.001, 2)
+
     def test_minus_infinite_snr_rejected_by_replace(self):
         with pytest.raises(ConfigError, match="snr_db"):
             replace(ExperimentConfig(), snr_db=(-math.inf,))
@@ -325,11 +330,21 @@ class TestBenchIil:
         assert {r.iil for r in rows} == {"shifting", "modulo"}
         assert all(not r.skipped and r.wall_time_s >= 0 for r in rows)
 
-    def test_grid_cap_marks_skipped(self):
-        rows = bench_iil([4], kinds=(IilKind.SHIFTING,), epochs=3, grid_cap=10)
+    def test_cache_cap_marks_shifting_skipped(self):
+        # 10 transmit antennas: 7^9 grid points x 2 samples x 20 reals in
+        # float32, ~6.5 GB of cache, refused before the grid is built.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            rows = bench_iil([10], kinds=(IilKind.SHIFTING,), epochs=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert rows[0].skipped
         assert math.isnan(rows[0].wall_time_s)
-        modulo = bench_iil([4], kinds=(IilKind.MODULO,), epochs=3, grid_cap=10)
+        assert peak < 50e6
+        modulo = bench_iil([10], kinds=(IilKind.MODULO,), epochs=3)
         assert not modulo[0].skipped
 
 

@@ -27,21 +27,18 @@ from celab.structnet import (
     StructNetModel,
     TrainConfig,
     _BatchTrainer,
+    _binary_samples,
+    _grid_tanh_sum,
+    _init_mlp,
     _init_stream,
+    _mlp,
     _softmax,
-    _trainer_from_model,
     channel_layer_forward,
-    classifier_forward,
     detect_multinomial,
     estimate_channel_structnet,
     iil_modulo_forward,
-    iil_shifting_forward,
-    init_model,
-    make_training_samples,
     model_forward,
-    sample_loss,
     shift_grid,
-    train_epoch,
 )
 
 
@@ -60,41 +57,48 @@ def _model(rng, n_rx=2, n_k=3, kind=IilKind.MODULO, n_h1=8, n_h2=8):
     )
 
 
+def _sorted_columns(h, stream, order):
+    """The realified columns of h (N_r, N_t) other than the stream's, in the
+    interference order `order`: strongest first, or as given."""
+    n_tx = h.shape[1]
+    columns = [realify_channel_column(h[:, j % n_tx], j, n_tx)
+               for j in range(2 * n_tx) if j != stream]
+    if order is IilOrder.DESCENDING_STRENGTH:
+        columns.sort(key=lambda v: -np.sum(v**2))
+    return np.stack(columns)
+
+
 class TestInitModel:
     def test_interference_count_and_order(self):
         rng = np.random.default_rng(0)
-        h_ls = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        cfg = TrainConfig()
-        model = init_model(h_ls, 0, cfg, 1)
-        assert model.desired.shape == (4,)
-        assert model.interference.shape == (3, 4)
-        want = [realify_channel_column(h_ls[:, j % 2], j, 2) for j in (1, 2, 3)]
+        h_ls = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
+        desired, interference, _ = _init_stream(h_ls, 0, TrainConfig(), np.random.default_rng(1))
+        assert desired.shape == (1, 4)
+        assert interference.shape == (1, 3, 4)
+        want = [realify_channel_column(h_ls[0, :, j % 2], j, 2) for j in (1, 2, 3)]
         want.sort(key=lambda v: -np.sum(v**2))
-        assert np.allclose(model.interference, np.stack(want))
+        assert np.allclose(interference[0], np.stack(want))
 
     def test_single_antenna_has_one_interferer(self):
-        h_ls = np.array([[1 + 2j]])
-        model = init_model(h_ls, 0, TrainConfig(), 0)
-        assert model.interference.shape == (1, 2)
-        assert np.allclose(model.interference[0], [-2.0, 1.0])
+        h_ls = np.array([[[1 + 2j]]])
+        _, interference, _ = _init_stream(h_ls, 0, TrainConfig(), np.random.default_rng(0))
+        assert interference.shape == (1, 1, 2)
+        assert np.allclose(interference[0, 0], [-2.0, 1.0])
 
     def test_given_order_preserved(self):
         rng = np.random.default_rng(1)
-        h_ls = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h_ls = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
         cfg = TrainConfig(iil_order=IilOrder.GIVEN_ORDER)
-        model = init_model(h_ls, 1, cfg, 2)
-        want = [realify_channel_column(h_ls[:, j % 2], j, 2) for j in (0, 2, 3)]
-        assert np.allclose(model.interference, np.stack(want))
+        _, interference, _ = _init_stream(h_ls, 1, cfg, np.random.default_rng(2))
+        want = [realify_channel_column(h_ls[0, :, j % 2], j, 2) for j in (0, 2, 3)]
+        assert np.allclose(interference[0], np.stack(want))
 
     def test_same_seed_same_mlp(self):
-        h_ls = np.eye(2, dtype=complex)
-        a = init_model(h_ls, 0, TrainConfig(), 3)
-        b = init_model(h_ls, 0, TrainConfig(), 3)
-        assert np.array_equal(a.flatten(), b.flatten())
-
-    def test_stream_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            init_model(np.eye(2, dtype=complex), 4, TrainConfig(), 0)
+        h_ls = np.eye(2, dtype=complex)[None]
+        _, _, a = _init_stream(h_ls, 0, TrainConfig(), np.random.default_rng(3))
+        _, _, b = _init_stream(h_ls, 0, TrainConfig(), np.random.default_rng(3))
+        assert len(a) == len(b) == 6
+        assert all(np.array_equal(wa, wb) for wa, wb in zip(a, b))
 
     @pytest.mark.parametrize("order", [IilOrder.DESCENDING_STRENGTH, IilOrder.GIVEN_ORDER])
     def test_batched_init_orders_each_subcarrier(self, order):
@@ -111,9 +115,9 @@ class TestInitModel:
             desired, interference, _ = _init_stream(h_ls, stream, cfg,
                                                     np.random.default_rng(0))
             for k in range(4):
-                model = init_model(h_ls[k], stream, cfg, 0)
-                assert np.array_equal(desired[k], model.desired)
-                assert np.array_equal(interference[k], model.interference)
+                want = realify_channel_column(h_ls[k, :, stream % 2], stream, 2)
+                assert np.array_equal(desired[k], want)
+                assert np.array_equal(interference[k], _sorted_columns(h_ls[k], stream, order))
 
 
 class TestChannelLayer:
@@ -148,36 +152,36 @@ class TestChannelLayer:
 
 class TestShiftingIil:
     def test_no_interference_is_plain_tanh(self):
-        z = np.array([0.3, -1.2])
-        assert np.allclose(iil_shifting_forward(z, np.zeros((0, 2)), 3), np.tanh(z))
+        s = np.array([[[0.3, -1.2]]])
+        out, _ = _grid_tanh_sum(s, np.zeros((1, 0, 2)), shift_grid(0, 3).astype(float),
+                                _BatchTrainer._CHUNK)
+        assert np.allclose(out, np.tanh(s))
 
     def test_zero_vector_multiplies_count(self):
-        z = np.array([0.4, 0.9])
-        out = iil_shifting_forward(z, np.zeros((1, 2)), 3)
-        assert np.allclose(out, 7 * np.tanh(z))
+        s = np.array([[[0.4, 0.9]]])
+        out, _ = _grid_tanh_sum(s, np.zeros((1, 1, 2)), shift_grid(1, 3).astype(float),
+                                _BatchTrainer._CHUNK)
+        assert np.allclose(out, 7 * np.tanh(s))
 
     def test_grid_shapes(self):
         g = shift_grid(2, 3)
         assert g.shape == (49, 2)
         assert g.min() == -3 and g.max() == 3
 
-    def test_grid_cap(self):
-        with pytest.raises(ResourceLimitError):
-            shift_grid(10, 3, grid_cap=1000)
-
     def test_periodicity_error_is_boundary_terms(self):
         # Shifting by one period telescopes the truncated sum, so the change
         # equals exactly the two boundary terms tanh(z+8h) - tanh(z-6h).
+        # 200 models, one sample and one unit interference vector each.
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            h = rng.normal(size=4)
-            h /= np.linalg.norm(h)
-            z = rng.uniform(-3, 3, size=4)
-            f0 = iil_shifting_forward(z, h[None, :], 3)
-            f1 = iil_shifting_forward(z + 2 * h, h[None, :], 3)
-            want = np.tanh(z + 8 * h) - np.tanh(z - 6 * h)
-            assert np.allclose(f1 - f0, want, atol=1e-12)
-            assert np.all(np.abs(f1 - f0) <= np.abs(np.tanh(z + 8 * h)) + np.abs(np.tanh(z - 6 * h)) + 1e-12)
+        h = rng.normal(size=(200, 1, 4))
+        h /= np.linalg.norm(h, axis=2, keepdims=True)
+        z = rng.uniform(-3, 3, size=(200, 1, 4))
+        grid = shift_grid(1, 3).astype(float)
+        f0, _ = _grid_tanh_sum(z, h, grid, _BatchTrainer._CHUNK)
+        f1, _ = _grid_tanh_sum(z + 2 * h, h, grid, _BatchTrainer._CHUNK)
+        want = np.tanh(z + 8 * h) - np.tanh(z - 6 * h)
+        assert np.allclose(f1 - f0, want, atol=1e-12)
+        assert np.all(np.abs(f1 - f0) <= np.abs(np.tanh(z + 8 * h)) + np.abs(np.tanh(z - 6 * h)) + 1e-12)
 
     # K = 0 is one transmit antenna's (1, 0) grid; K = 3 with window 1 is 27
     # grid points, which chunks of 5 split into five full chunks and one of 2.
@@ -254,25 +258,19 @@ class TestModuloIil:
 
 class TestClassifier:
     def test_zero_weights_uniform(self):
-        model = StructNetModel(
-            desired=np.zeros(4),
-            interference=np.zeros((1, 4)),
-            w1=np.zeros((8, 4)),
-            b1=np.zeros(8),
-            w2=np.zeros((8, 8)),
-            b2=np.zeros(8),
-            w3=np.zeros((2, 8)),
-            b3=np.zeros(2),
-        )
-        assert np.allclose(classifier_forward(model, np.ones(4)), [0.5, 0.5])
+        mlp = (np.zeros((1, 8, 4)), np.zeros((1, 8)), np.zeros((1, 8, 8)), np.zeros((1, 8)),
+               np.zeros((1, 2, 8)), np.zeros((1, 2)))
+        _, _, p = _mlp(np.ones((1, 1, 4)), *mlp)
+        assert np.allclose(p, [0.5, 0.5])
 
     def test_probabilities_sum_to_one(self):
+        # 3 models, 20 samples each.
         rng = np.random.default_rng(8)
-        model = _model(rng)
-        for _ in range(20):
-            p = classifier_forward(model, rng.normal(size=4))
-            assert abs(p.sum() - 1.0) < 1e-12
-            assert np.all(p > 0)
+        mlp = _init_mlp(rng, 3, 4, TrainConfig(n_h1=8, n_h2=8))
+        _, _, p = _mlp(rng.normal(size=(3, 20, 4)), *mlp)
+        assert p.shape == (3, 20, 2)
+        assert np.max(np.abs(p.sum(axis=2) - 1.0)) < 1e-12
+        assert np.all(p > 0)
 
     def test_softmax_matches_generic_formula(self):
         rng = np.random.default_rng(21)
@@ -290,79 +288,60 @@ class TestClassifier:
 
 class TestTrainingSamples:
     def test_shifts_for_minus_three(self):
-        samples = make_training_samples([(-3, np.zeros(2))])
-        assert [(s.label, s.shift) for s in samples] == [(1, 4.0), (-1, 2.0)]
+        classes, shifts, _ = _binary_samples([-3], [np.zeros(2)])
+        assert classes.tolist() == [1, 0] and shifts.tolist() == [4.0, 2.0]
 
     def test_shifts_for_plus_one(self):
-        samples = make_training_samples([(1, np.zeros(2))])
-        assert [(s.label, s.shift) for s in samples] == [(1, 0.0), (-1, -2.0)]
+        classes, shifts, _ = _binary_samples([1], [np.zeros(2)])
+        assert classes.tolist() == [1, 0] and shifts.tolist() == [0.0, -2.0]
 
     def test_two_samples_per_pair_and_spacing(self):
         rng = np.random.default_rng(9)
-        pairs = [(lvl, rng.normal(size=4)) for lvl in (-3, -1, 1, 3)]
-        samples = make_training_samples(pairs)
-        assert len(samples) == 8
-        for pos, neg in zip(samples[0::2], samples[1::2]):
-            assert pos.shift - neg.shift == 2.0
-
-    def test_invalid_pam_level(self):
-        with pytest.raises(InvalidArgumentError):
-            make_training_samples([(0, np.zeros(2))])
-        with pytest.raises(InvalidArgumentError):
-            make_training_samples([(1.5, np.zeros(2))])
+        y = rng.normal(size=(4, 4))
+        classes, shifts, samples = _binary_samples([-3, -1, 1, 3], y)
+        assert classes.tolist() == [1, 0] * 4
+        assert shifts.shape == (8,) and samples.shape == (8, 4)
+        assert np.all(shifts[0::2] - shifts[1::2] == 2.0)
+        assert np.array_equal(samples[0::2], y) and np.array_equal(samples[1::2], y)
 
 
 class TestTrainEpoch:
     @staticmethod
-    def _setup(kind=IilKind.MODULO, seed=10):
-        rng = np.random.default_rng(seed)
+    def _setup(cfg, seed=10):
+        """A float64 batch-of-one trainer on four noiseless BPSK pilots of a
+        one-antenna channel, started at the true channel."""
         h = 1.0 + 0.5j
-        x_levels = [-1, 1, -1, 1]
-        y = [np.array([(h * x).real, (h * x).imag]) for x in x_levels]
-        model = init_model(np.array([[h]]), 0, TrainConfig(iil_kind=kind), seed)
-        samples = make_training_samples(list(zip(x_levels, y)))
-        return model, samples
+        x_levels = np.array([-1.0, 1.0, -1.0, 1.0])
+        y = np.stack([(h * x_levels).real, (h * x_levels).imag], axis=1)
+        desired, interference, mlp = _init_stream(np.array([[[h]]]), 0, cfg,
+                                                  np.random.default_rng(seed))
+        classes, lam, samples = _binary_samples(x_levels[None], y[None])
+        return _BatchTrainer(desired, interference, mlp, classes, lam, samples, cfg)
 
     def test_frozen_channel_phase(self):
-        model, samples = self._setup()
-        cfg = TrainConfig(lr_channel=0.0)
-        before_d = model.desired.copy()
-        before_i = model.interference.copy()
-        train_epoch(model, samples, cfg)
-        assert np.array_equal(model.desired, before_d)
-        assert np.array_equal(model.interference, before_i)
+        tr = self._setup(TrainConfig(lr_channel=0.0))
+        before = {name: getattr(tr, name).copy() for name in ALL_WEIGHTS}
+        tr.run_epochs(1)
+        assert np.array_equal(tr.desired, before["desired"])
+        assert np.array_equal(tr.interference, before["interference"])
+        assert not np.array_equal(tr.w1, before["w1"])
 
     def test_frozen_interference_option(self):
-        model, samples = self._setup()
-        cfg = TrainConfig(update_interference=False)
-        before = model.interference.copy()
-        train_epoch(model, samples, cfg)
-        assert np.array_equal(model.interference, before)
+        tr = self._setup(TrainConfig(update_interference=False))
+        before = tr.interference.copy()
+        desired = tr.desired.copy()
+        tr.run_epochs(1)
+        assert np.array_equal(tr.interference, before)
+        assert not np.array_equal(tr.desired, desired)
 
     @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
     def test_loss_decreases_noiseless(self, kind):
-        model, samples = self._setup(kind)
-        cfg = TrainConfig(iil_kind=kind)
-        losses = [train_epoch(model, samples, cfg) for _ in range(10)]
+        tr = self._setup(TrainConfig(iil_kind=kind))
+        losses = []
+        for _ in range(10):
+            tr.run_epochs(1)
+            losses.append(tr.loss()[0])
         assert all(b < a for a, b in zip(losses, losses[1:]))
-        assert sample_loss(model, samples) == pytest.approx(losses[-1])
-
-    def test_empty_samples_rejected(self):
-        model, _ = self._setup()
-        with pytest.raises(InvalidArgumentError):
-            train_epoch(model, [], TrainConfig())
-        with pytest.raises(InvalidArgumentError):
-            sample_loss(model, [])
-
-    @pytest.mark.parametrize("setting", [{"iil_kind": IilKind.MODULO}, {"iil_window": 2},
-                                         {"eps_mod": 1e-3}])
-    def test_config_iil_must_match_model(self, setting):
-        model, samples = self._setup(IilKind.SHIFTING)
-        before = model.flatten()
-        cfg = TrainConfig(**{"iil_kind": IilKind.SHIFTING, **setting})
-        with pytest.raises(InvalidArgumentError):
-            train_epoch(model, samples, cfg)
-        assert np.array_equal(model.flatten(), before)
 
 
 class TestDetectMultinomial:
@@ -454,10 +433,21 @@ class TestEstimateChannel:
         assert np.linalg.norm(delta64) > 1e-3 * np.linalg.norm(h_ls)
         assert np.linalg.norm(delta32 - delta64) <= 0.02 * np.linalg.norm(delta64)
 
-    def test_single_model_view_stays_float64(self):
-        model, samples = TestTrainEpoch._setup()
-        trainer = _trainer_from_model(model, samples)
-        for name in ALL_WEIGHTS + ("lam", "y"):
+    def test_single_model_view_stays_float64(self, monkeypatch):
+        # model_forward runs the model as a batch-of-one trainer in float64.
+        trainers = []
+        init = _BatchTrainer.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            trainers.append(self)
+
+        monkeypatch.setattr(_BatchTrainer, "__init__", record)
+        rng = np.random.default_rng(36)
+        p = model_forward(_model(rng, kind=IilKind.SHIFTING), rng.normal(size=(3, 4)), 1.0)
+        assert p.shape == (3, 2) and p.dtype == np.float64
+        (trainer,) = trainers
+        for name in ALL_WEIGHTS + ("lam", "y", "grid"):
             assert getattr(trainer, name).dtype == np.float64, name
 
     def test_orthogonal_pilots_supported(self):
@@ -525,8 +515,8 @@ class TestEstimateChannel:
                                        h_ls=np.zeros((4, 2, 3), dtype=complex))
 
     def test_shifting_cache_cap_allocates_nothing(self):
-        # 4x4 at 64 subcarriers: the 7^7-point grid passes the grid cap, but
-        # its backward cache would take ~1e11 bytes.
+        # 4x4 at 64 subcarriers: the backward cache over the 7^7-point grid
+        # would take ~1e11 bytes.
         import tracemalloc
 
         y_p, x_p = self._pilots(SubframeSpec(n_tx=4, n_rx=4, n_pilot=4), 24)
@@ -565,6 +555,11 @@ class TestFullForward:
         for m in (-2, 1, 3):
             shifted = model_forward(model, y + 2 * m * model.interference[0], 0.0)
             assert np.allclose(shifted, base, atol=1e-9)
+
+    def test_empty_input_rejected(self):
+        model = _model(np.random.default_rng(37))
+        with pytest.raises(InvalidArgumentError, match="at least one received vector"):
+            model_forward(model, np.zeros((0, 4)), 0.0)
 
 
 MLP_WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -738,11 +733,11 @@ class TestParallelParts:
     def test_part_exception_raised_in_caller(self, monkeypatch, failing):
         run_epochs = _BatchTrainer.run_epochs
 
-        def run_or_fail(self, n_epochs):
+        def run_or_fail(self, n_epochs, stop=None):
             in_caller = threading.current_thread() is threading.main_thread()
             if in_caller == (failing == "caller"):
                 raise RuntimeError(f"{failing} part failed")
-            run_epochs(self, n_epochs)
+            run_epochs(self, n_epochs, stop)
 
         monkeypatch.setattr(_BatchTrainer, "run_epochs", run_or_fail)
         before = threading.active_count()
@@ -773,7 +768,9 @@ class TestParallelParts:
                                                         diverging):
         # The diverging part's classifier step of epoch 4 (0-based 3) of 50
         # puts a NaN into w3; its channel step carries it into the channel
-        # weights.  Each epoch makes two `_grads` calls.
+        # weights.  Each epoch makes two `_grads` calls.  The healthy part
+        # stops at the first epoch it starts after that, so it does not
+        # train all 50.
         n_epochs, bad_epoch = 50, 3
         grads = _BatchTrainer._grads
         calls = {}
@@ -796,6 +793,7 @@ class TestParallelParts:
             with pytest.raises(TrainingDivergenceError, match="epoch 4"):
                 estimate_channel_structnet(y_p, x_p, cfg, 35)
             assert calls["diverging"] == 2 * (bad_epoch + 1), kind
+            assert calls.get("healthy", 0) < 2 * n_epochs, kind
 
     def test_cache_cap_checked_for_the_whole_batch(self, monkeypatch):
         # 2x2 at 16 subcarriers: 64 models x 4 samples x 4 reals x 343 grid
