@@ -30,37 +30,57 @@ so every training sample is a noise-free function of that estimate.
 
 Parallel parts.  Since no model shares anything with another, the batch
 trains as contiguous parts along the model axis, one per core
-(`_train_in_parts`): the first in the caller's thread, the others on a
-`concurrent.futures.ThreadPoolExecutor` that lives for the call.  Each part
-is a view of the one `_BatchTrainer` built for the whole batch
-(`_BatchTrainer.part`), whose updates write through to its arrays, and numpy
-releases the GIL inside its loops.  The numbers are bit for bit those of the
-whole batch in one thread.  A batch splits only when each part keeps at
-least one model and `_PART_WORK` (model, sample, shift-grid point) triples
-(`_n_parts`).  The threshold was measured on the modulo layer, where below
-it thread hand-offs cost more than the second core gives.  `harness.bench_iil`
-trains in one thread.
+(`_train_in_parts`): the first in the caller, the others in worker
+processes.  Each part is a view of the one `_BatchTrainer` built for the
+whole batch (`_BatchTrainer.part`).  The caller copies a worker's part into
+that worker's shared-memory buffer and sends it the part's other attributes
+(config, labels, shift grid) through a pipe; the worker trains the part in
+place, and the caller copies the trained weights back into the batch's
+arrays.  The numbers are bit for bit those of the whole batch in one process.
+A batch splits only when each part keeps at least one model and `_PART_WORK`
+(model, sample, shift-grid point, epoch) units (`_n_parts`), since a split
+costs ~0.3 ms per call.  `harness.bench_iil` trains in one part.
+
+Processes, not threads.  An epoch is ~100 numpy calls of 2-70 us each, and
+the GIL changes hands at every call: two threads training the 64-subcarrier
+modulo batch (256 models, 200 epochs) ran at 0.65-0.87x the speed of one,
+and two threads running 4 us numpy calls got 0.34-0.68x the throughput of
+one.  Two processes each keep their solo speed.
+
+Lifecycle.  Workers are forked (`os.fork`) at the first call that splits, at
+most one per core but the caller's, and serve later calls; `_close_workers`
+ends them and waits for them, and runs at interpreter exit.  A worker never
+returns into the caller's code: it ends with `os._exit`, so no `atexit` hook
+or test finalizer runs in it.  It ignores SIGINT, which is the caller's to
+handle, and exits by itself on EOF from its pipe, whose other end only the
+caller holds, when the caller dies without ending it.  A process forked from
+the caller does not inherit its workers.  Fork, not spawn: a worker starts
+in ~1 ms with the lab imported and inherits the caller's code as it stands,
+monkeypatches included.  Without `os.fork` the batch trains in one part.
 
 BLAS calls.  A part makes only per-model BLAS calls: every matmul of an
 epoch and of `loss` is a stack of one small product per model.  The
 largest are the shifting layer's (D, K) @ (K, G) shifts and its backward's
 (D, G) @ (G, K), D*K*G multiply-adds each: 4116 at 2x2, 5.0e5 at 3x3.
 OpenBLAS spreads a product over n threads only from about n * 2.6e5
-multiply-adds, so up to 3x3 no part starts BLAS threads of its own and the
-busy threads are the parts.  One flat (B*D, K) @ (K, G) product for a
-part's shifts crosses that line at 128 models (5.3e5): with BLAS allowed
-both cores of a 2-core machine, two parts then kept four threads busy, and
-the 64-subcarrier 2x2 shifting sweep trained 13.2 cells/s in two parts
-against 14.0 in one.  With per-model products it trains ~23 cells/s in two
-parts against ~15 in one, with one BLAS thread or two (numpy 2.4, OpenBLAS
-0.3.31).
+multiply-adds, so up to 3x3 no part starts BLAS threads of its own, in the
+caller or in a worker, and the busy threads are the parts.  One flat
+(B*D, K) @ (K, G) product for a part's shifts crosses that line at 128
+models (5.3e5): with BLAS allowed both cores of a 2-core machine, two
+thread parts then kept four threads busy, and the 64-subcarrier 2x2
+shifting sweep trained 13.2 cells/s in two parts against 14.0 in one.  With
+per-model products two thread parts trained ~23 cells/s against ~15 in one,
+with one BLAS thread or two (numpy 2.4, OpenBLAS 0.3.31).
 """
 
+import atexit
 import copy
 import enum
+import mmap
+import multiprocessing
 import os
+import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,14 +135,18 @@ class TrainConfig:
             raise InvalidArgumentError("n_h1 and n_h2 must be >= 1")
 
 
-# Work, in (model, sample, shift-grid point) triples, each parallel part must
-# keep.  Two parts against one, modulo, 200 epochs, on a 2-core Xeon (KVM)
-# with numpy 2.4: 0.93x at 1024 triples (64 subcarriers x 4 streams x 4
-# samples), 1.09x at 1536, 1.33x at 2048 and 1.51x at 4096.
-_PART_WORK = 1024
+# Work, in (model, sample, shift-grid point, epoch) units, each parallel part
+# must keep.  Two parts in two processes against one, float32, interleaved
+# medians on a 2-core Xeon (KVM) with numpy 2.4: modulo 1.27x at 5120 units
+# per part (256 models, 10 epochs), 1.48x at 10240 and 1.64x at 20480;
+# shifting (343 grid points) 1.14x at 43904 (32 models, 2 epochs).  A call
+# that splits costs ~0.3 ms more, so a 2-model epoch ran at 0.5x.
+_PART_WORK = 8192
 
 # Weight names of a model, in StructNetModel and _BatchTrainer alike.
 _WEIGHTS = ("desired", "interference", "w1", "b1", "w2", "b2", "w3", "b3")
+# A _BatchTrainer's arrays with one row per model: a part's are views of its batch's.
+_PER_MODEL = _WEIGHTS + ("lam", "y")
 
 
 @dataclass
@@ -320,7 +344,7 @@ class _BatchTrainer:
         weights, lam and y are views of this trainer's, so its updates write
         through.  The config, labels and shift grid are shared."""
         part = copy.copy(self)
-        for name in _WEIGHTS + ("lam", "y"):
+        for name in _PER_MODEL:
             setattr(part, name, getattr(self, name)[lo:hi])
         return part
 
@@ -421,7 +445,7 @@ class _BatchTrainer:
         g["desired"] = np.matmul(self.lam[:, None, :], ds)[:, 0, :]
         return g
 
-    def run_epochs(self, n_epochs: int, stop: threading.Event = None) -> None:
+    def run_epochs(self, n_epochs: int, stop=None) -> None:
         """Alternation: one classifier step, then one channel step, per epoch.
 
         The classifier step leaves the channel weights as they are, so both
@@ -429,11 +453,11 @@ class _BatchTrainer:
         a channel weight non-finite raises `TrainingDivergenceError`; a NaN
         in an MLP weight reaches the channel weights through the same
         epoch's channel step.  Training ends early, before the next epoch,
-        once `stop` is set.
+        once the byte `stop[0]` is nonzero.
         """
         cfg = self.cfg
         for epoch in range(n_epochs):
-            if stop is not None and stop.is_set():
+            if stop is not None and stop[0]:
                 return
             fwd = self._forward()
             # g_mlp stays bound until the next epoch's replaces it.  Freed at
@@ -453,42 +477,190 @@ class _BatchTrainer:
                 raise TrainingDivergenceError(f"non-finite channel weight in epoch {epoch + 1}")
 
 
+def _cores() -> int:
+    """Cores the process may run on (the machine's where the platform cannot
+    tell which)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _n_parts(trainer: _BatchTrainer) -> int:
-    """Parts to train the batch in: one per core the process may run on (per
-    core of the machine where the platform cannot tell which), as long as
-    each keeps `_PART_WORK` (model, sample, grid point) triples and at least
-    one model."""
+    """Parts to train the batch in for `trainer.cfg.epochs` epochs: one per
+    core, as long as each keeps `_PART_WORK` (model, sample, shift-grid
+    point, epoch) units and at least one model.  Without `os.fork` the batch
+    trains in one part."""
+    if not hasattr(os, "fork"):
+        return 1
     n_models = trainer.y.shape[0]
     grid = trainer.grid.shape[0] if trainer.cfg.iil_kind is IilKind.SHIFTING else 1
-    work = n_models * trainer.n_samples * grid
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cores or 1, work // _PART_WORK, n_models))
+    work = n_models * trainer.n_samples * grid * trainer.cfg.epochs
+    return max(1, min(_cores(), work // _PART_WORK, n_models))
 
 
-def _train_in_parts(trainer: _BatchTrainer, n_epochs: int, n_parts: int) -> np.ndarray:
-    """Train the batch as n_parts contiguous parts along the model axis, the
-    first in the caller's thread and the others on a thread pool.
+def _layout(part: _BatchTrainer) -> tuple:
+    """Where a part's per-model arrays go in a worker's buffer: (name, shape,
+    dtype, byte offset) of each, one after another at 64-byte boundaries, and
+    the bytes they take."""
+    specs, end = [], 0
+    for name in _PER_MODEL:
+        a = getattr(part, name)
+        specs.append((name, a.shape, a.dtype, end))
+        end += -(-a.nbytes // 64) * 64
+    return specs, end
 
-    Returns the per-model loss after training, each part's computed by that
-    part.  An exception raised in any part is raised here, once every part
-    has ended; the other parts stop before their next epoch.
-    """
-    bounds = [trainer.y.shape[0] * i // n_parts for i in range(n_parts + 1)]
-    parts = [trainer.part(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    failed = threading.Event()
 
-    def run(part):
+def _send_part(conn, buf, part: _BatchTrainer, n_epochs: int) -> None:
+    """Copy the part's per-model arrays into the worker's buffer and send it
+    the part's other attributes, the layout and the epochs to train."""
+    specs, _ = _layout(part)
+    for name, shape, dtype, offset in specs:
+        np.ndarray(shape, dtype, buf, offset)[...] = getattr(part, name)
+    state = {name: value for name, value in vars(part).items() if name not in _PER_MODEL}
+    conn.send((state, specs, n_epochs))
+
+
+def _receive_part(conn, buf, part: _BatchTrainer):
+    """Wait for the worker's reply and copy the trained weights out of its
+    buffer into the part; returns the exception the part raised, or None."""
+    reply = conn.recv()
+    for name, shape, dtype, offset in _layout(part)[0][:len(_WEIGHTS)]:
+        getattr(part, name)[...] = np.ndarray(shape, dtype, buf, offset)
+    return reply
+
+
+def _serve(conn, buf, stop: mmap.mmap) -> None:
+    """A worker's loop: train each part received as a `_BatchTrainer` whose
+    per-model arrays are views of buf, and reply None, or the exception the
+    part raised.  Returns once every copy of the caller's end of the
+    connection is closed, as when the caller dies."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # `_Workers.close` ends the process
+    while True:
         try:
-            part.run_epochs(n_epochs, failed)
-        except BaseException:
-            failed.set()
-            raise
-        return part.loss()
+            state, specs, n_epochs = conn.recv()
+        except EOFError:
+            return
+        part = object.__new__(_BatchTrainer)
+        vars(part).update(state)
+        for name, shape, dtype, offset in specs:
+            setattr(part, name, np.ndarray(shape, dtype, buf, offset))
+        try:
+            part.run_epochs(n_epochs, stop)
+            reply = None
+        except BaseException as exc:  # sent to the caller, which raises it
+            stop[0] = 1
+            reply = exc
+        conn.send(reply)
 
-    with ThreadPoolExecutor(max(n_parts - 1, 1), "structnet-part") as pool:
-        futures = [pool.submit(run, part) for part in parts[1:]]
-        losses = [run(parts[0])] + [future.result() for future in futures]
-    return np.concatenate(losses)
+
+class _Workers:
+    """Forked processes that train the parts `_train_in_parts` hands out,
+    kept from call to call.  Each has a shared-memory buffer of `capacity`
+    bytes: the caller copies a part's per-model arrays into it, the worker
+    trains them there and the caller copies the weights back.  `lock` lets
+    one call use the workers at a time."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.stop = mmap.mmap(-1, 1)  # nonzero once a part has raised; shared with the workers
+        self.capacity = 0
+        self.procs = []  # (pid, connection, buffer), in fork order
+
+    def start(self, n: int, nbytes: int) -> list:
+        """(connection, buffer) of the first n workers, whose buffers hold at
+        least nbytes.  Forks the workers missing, all of them afresh, with
+        buffers of the next power of two, when the buffers are too small."""
+        if nbytes > self.capacity:
+            self.close()
+            self.capacity = 1 << (max(nbytes, 1) - 1).bit_length()
+        while len(self.procs) < n:
+            buf = mmap.mmap(-1, self.capacity)
+            ours, theirs = multiprocessing.Pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker; `forget` has closed the others' connections
+                try:
+                    ours.close()
+                    _serve(theirs, buf, self.stop)
+                finally:
+                    os._exit(0)
+            theirs.close()
+            self.procs.append((pid, ours, buf))
+        return [(conn, buf) for _, conn, buf in self.procs[:n]]
+
+    def close(self) -> None:
+        """End every worker and wait for it."""
+        for pid, conn, _ in self.procs:
+            conn.close()
+            try:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # already reaped elsewhere
+        self.procs = []
+
+    def forget(self) -> None:
+        """In a forked child: drop the parent's workers without ending them."""
+        for _, conn, _ in self.procs:
+            conn.close()
+        self.procs = []
+        self.lock = threading.Lock()
+
+
+_WORKERS = _Workers()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_WORKERS.forget)
+
+
+def _close_workers() -> None:
+    """End the training workers; the next split batch forks new ones."""
+    with _WORKERS.lock:
+        _WORKERS.close()
+
+
+atexit.register(_close_workers)
+
+
+def _train_in_parts(trainer: _BatchTrainer, n_epochs: int, n_parts: int) -> None:
+    """Train the batch as n_parts contiguous parts along the model axis: the
+    first in the caller, the others in worker processes, at most one worker
+    per core but the caller's.  The trainer's arrays end up bit for bit as
+    after training the whole batch in the caller.
+
+    An exception raised in any part is raised here, once every part has
+    ended; the other parts stop before their next epoch.
+    """
+    if n_parts == 1:
+        trainer.run_epochs(n_epochs)
+        return
+    bounds = [trainer.y.shape[0] * i // n_parts for i in range(n_parts + 1)]
+    caller_part, *parts = (trainer.part(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    error = None
+    with _WORKERS.lock:
+        try:
+            workers = _WORKERS.start(max(1, min(len(parts), _cores() - 1)),
+                                     max(_layout(part)[1] for part in parts))
+            _WORKERS.stop[0] = 0
+            for (conn, buf), part in zip(workers, parts):
+                _send_part(conn, buf, part, n_epochs)
+            try:
+                caller_part.run_epochs(n_epochs, _WORKERS.stop)
+            except BaseException as exc:  # raised below, once every part has ended
+                _WORKERS.stop[0] = 1
+                error = exc
+            # Worker k trains parts k, k+n, ...: each sent once the weights
+            # of the one before are out of the worker's buffer.
+            for i, part in enumerate(parts):
+                conn, buf = workers[i % len(workers)]
+                reply = _receive_part(conn, buf, part)  # always read: the replies are in order
+                error = error or reply
+                if i + len(workers) < len(parts):
+                    _send_part(conn, buf, parts[i + len(workers)], n_epochs)
+        except BaseException:
+            _WORKERS.close()  # replies may still be on their way
+            raise
+    if error is not None:
+        raise error
 
 
 def model_forward(model: StructNetModel, y_raw, shift: float) -> np.ndarray:
@@ -578,9 +750,7 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed, h_ls=None) -> n
     trainer = _BatchTrainer(np.zeros_like(anchor), interference, mlp, classes, lam,
                             _channel_layer(y, lam, anchor), cfg, dtype=np.float32)
     if cfg.epochs > 0:
-        loss = _train_in_parts(trainer, cfg.epochs, _n_parts(trainer))
-        if not np.all(np.isfinite(loss)):
-            raise TrainingDivergenceError("non-finite loss during channel training")
+        _train_in_parts(trainer, cfg.epochs, _n_parts(trainer))
 
     # (n_sc, N_r, N_t) from the 2*N_t per-stream weight sets.
     desired = anchor + trainer.desired

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from celab.channel_sim import (
-    ChannelRealization,
     NoiseSpec,
     PowerDelayProfile,
     analytic_freq_correlation,
@@ -12,7 +11,7 @@ from celab.channel_sim import (
     taps_to_freq_response,
 )
 from celab.errors import InvalidArgumentError
-from celab.signal_model import SubframeSpec, TransmitGrid, build_constellation, generate_transmit_grid
+from celab.signal_model import SubframeSpec, build_constellation, generate_transmit_grid
 
 
 class TestPowerDelayProfile:

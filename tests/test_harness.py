@@ -1,14 +1,12 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from celab import cli, harness
 from celab.errors import ConfigError, TrainingDivergenceError
 from celab.harness import (
     CSV_HEADER,
-    BenchRow,
     ExperimentConfig,
     ResultRow,
     bench_iil,

@@ -1,6 +1,10 @@
 import itertools
+import mmap
+import os
+import subprocess
 import sys
-import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from celab.errors import (
     TrainingDivergenceError,
 )
 from celab.estimators import estimate_ls
-from celab.evaluation import compute_mse, snr_to_noise_var
+from celab.evaluation import compute_mse
 from celab.signal_model import (
     SubframeSpec,
     build_constellation,
@@ -664,11 +668,73 @@ class TestLoss:
         assert np.all(np.isfinite(loss)) and np.all(loss > 10.0)
 
 
-class TestParallelParts:
-    """The batch trained as parts in threads is bit for bit the batch trained
-    whole in one thread."""
+# An estimate split in four parts, three in workers, in a fresh interpreter,
+# which prints the workers' pids and then exits or, with the argument "wait",
+# sleeps.  At exit it prints the pids of the workers that still exist, from
+# an exit hook that runs after the lab's.
+_SPLIT_ESTIMATE = """
+import atexit, os, sys, time
+pids = []
+atexit.register(lambda: print(*[p for p in pids if os.path.exists(f"/proc/{p}")], flush=True))
+import numpy as np
+from celab import structnet
+from celab.channel_sim import NoiseSpec, apply_channel, exponential_pdp, sample_channel
+from celab.signal_model import SubframeSpec, build_constellation, generate_transmit_grid
+spec = SubframeSpec(n_sc=8)
+ss = np.random.SeedSequence(40).spawn(3)
+grid = generate_transmit_grid(spec, build_constellation(16), ss[1])
+y = apply_channel(grid, sample_channel(exponential_pdp(4, 2.0), spec, ss[0]), NoiseSpec(1.0), ss[2])
+structnet._cores = lambda: 4
+structnet._n_parts = lambda trainer: 4
+structnet.estimate_channel_structnet(y[:, :, :spec.n_pilot], grid.pilots,
+                                     structnet.TrainConfig(epochs=2), 41)
+pids += [pid for pid, _, _ in structnet._WORKERS.procs]
+print(*pids, flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(60)
+"""
 
-    # 7 models: parts of uneven size, and at 7 parts one model per thread.
+
+def _split_estimate(mode: str) -> list:
+    return [sys.executable, "-c", _SPLIT_ESTIMATE, mode]
+
+
+def _env() -> dict:
+    src = str(Path(structnet.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _shared_counts(n: int) -> np.ndarray:
+    """n int64 counters in shared memory: a worker forked after this call
+    adds to the caller's counts."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.int64)
+
+
+class TestParallelParts:
+    """The batch trained as parts in worker processes is bit for bit the
+    batch trained whole in the caller."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_workers(self):
+        # Workers are forked at the first split call, so the test's
+        # monkeypatches reach them; ended after the test, they do not outlive
+        # the patches.
+        structnet._close_workers()
+        yield
+        structnet._close_workers()
+
+    # 7 models: parts of uneven size, and at 7 parts one model per part, six
+    # queued on one worker of a 2-core machine.
     @pytest.mark.parametrize("n_parts", [2, 3, 7])
     @pytest.mark.parametrize("update_interference", [True, False])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -677,16 +743,21 @@ class TestParallelParts:
         whole = _batch_trainer(kind, 7, update_interference, dtype=dtype)
         whole.run_epochs(3)
         parts = _batch_trainer(kind, 7, update_interference, dtype=dtype)
-        # Threads hand over the interpreter every microsecond.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            loss = structnet._train_in_parts(parts, 3, n_parts)
-        finally:
-            sys.setswitchinterval(interval)
+        structnet._train_in_parts(parts, 3, n_parts)
         for name in ALL_WEIGHTS:
             assert np.array_equal(getattr(parts, name), getattr(whole, name)), name
-        assert np.array_equal(loss, whole.loss())
+
+    @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
+    def test_more_workers_than_cores(self, monkeypatch, kind):
+        whole = _batch_trainer(kind, 7, True, dtype=np.float32)
+        whole.run_epochs(3)
+        monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(8)))
+        for _ in range(2):  # the second call reuses the six workers
+            parts = _batch_trainer(kind, 7, True, dtype=np.float32)
+            structnet._train_in_parts(parts, 3, 7)
+            for name in ALL_WEIGHTS:
+                assert np.array_equal(getattr(parts, name), getattr(whole, name)), name
+            assert len(structnet._WORKERS.procs) == 6
 
     @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
     def test_estimate_same_in_one_and_two_parts(self, monkeypatch, kind):
@@ -703,64 +774,94 @@ class TestParallelParts:
     def test_part_count(self, monkeypatch):
         monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(8)))
 
-        def n_parts(n_sc, kind=IilKind.MODULO):
+        def n_parts(n_sc, epochs, kind=IilKind.MODULO):
             y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=n_sc), 28)
             seen = []
             monkeypatch.setattr(structnet, "_train_in_parts",
-                                lambda trainer, n_epochs, n: seen.append(n) or np.zeros(1))
-            estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=1, iil_kind=kind), 29)
+                                lambda trainer, n_epochs, n: seen.append(n))
+            estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=epochs, iil_kind=kind), 29)
             return seen[0]
 
         # 2x2, 4 samples per model: 16 (model, sample) pairs per subcarrier.
-        assert n_parts(64) == 1
-        assert n_parts(128) == 2
-        assert n_parts(256) == 4
-        assert n_parts(8, IilKind.SHIFTING) == 8  # 128 pairs x 343 grid points
+        assert n_parts(16, 5) == 1  # c13: 1280 units
+        assert n_parts(64, 8) == 1  # 8192 units
+        assert n_parts(64, 16) == 2
+        assert n_parts(64, 24) == 3
+        assert n_parts(64, 200) == 8  # c06 and structnet-modulo-64: 204800 units
+        assert n_parts(8, 1, IilKind.SHIFTING) == 5  # 128 pairs x 343 grid points
         monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert n_parts(8, IilKind.SHIFTING) == 32  # work for 42 parts, but 32 models
+        assert n_parts(8, 8, IilKind.SHIFTING) == 32  # work for 42 parts, but 32 models
+        monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(2)))
+        assert n_parts(64, 200) == 2
         monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: {0})
-        assert n_parts(256) == 1
+        assert n_parts(64, 200) == 1
 
     def test_part_count_without_affinity(self, monkeypatch):
         # Platforms without sched_getaffinity count the machine's cores.
         monkeypatch.delattr(structnet.os, "sched_getaffinity")
         trainer = _batch_trainer(IilKind.SHIFTING, 64, True)  # 64 x 4 samples x 27 points
-        for cpus, want in ((3, 3), (None, 1)):
+        for cpus, epochs, want in ((3, 200, 3), (None, 200, 1), (3, 1, 1)):
+            trainer.cfg = TrainConfig(epochs=epochs, iil_kind=IilKind.SHIFTING, iil_window=1)
             monkeypatch.setattr(structnet.os, "cpu_count", lambda cpus=cpus: cpus)
             assert structnet._n_parts(trainer) == want
+
+    def test_one_part_without_fork(self, monkeypatch):
+        monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(2)))
+        trainer = _batch_trainer(IilKind.MODULO, 64, True)  # 51200 units in 200 epochs
+        assert structnet._n_parts(trainer) == 2
+        monkeypatch.delattr(structnet.os, "fork")
+        assert structnet._n_parts(trainer) == 1
+        y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 26)
+        cfg = TrainConfig(epochs=4, iil_kind=IilKind.SHIFTING)  # 175616 units
+        estimate_channel_structnet(y_p, x_p, cfg, 27)
+        assert structnet._WORKERS.procs == []
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_part_exception_raised_in_caller(self, monkeypatch, failing):
         run_epochs = _BatchTrainer.run_epochs
+        caller = os.getpid()
+        fail = _shared_counts(1)
+        fail[0] = 1
 
         def run_or_fail(self, n_epochs, stop=None):
-            in_caller = threading.current_thread() is threading.main_thread()
-            if in_caller == (failing == "caller"):
+            if fail[0] and (os.getpid() == caller) == (failing == "caller"):
                 raise RuntimeError(f"{failing} part failed")
             run_epochs(self, n_epochs, stop)
 
         monkeypatch.setattr(_BatchTrainer, "run_epochs", run_or_fail)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"{failing} part failed"):
+        with pytest.raises(RuntimeError, match=f"^{failing} part failed$"):
             structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 6, True), 2, 3)
-        assert threading.active_count() == before
+        # The workers outlive a part's exception and train the next batch.
+        workers = list(structnet._WORKERS.procs)
+        fail[0] = 0
+        structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 6, True), 2, 3)
+        assert structnet._WORKERS.procs == workers
 
-    @pytest.mark.parametrize("diverging", ["caller", "worker"])
-    def test_nonfinite_loss_in_one_part_diverges(self, monkeypatch, diverging):
-        loss = _BatchTrainer.loss
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("weight", ["w1", "w2", "w3"])
+    def test_nonfinite_mlp_weight_in_last_epoch_diverges(self, monkeypatch, weight, value):
+        # The worker part's classifier step of the last epoch makes one MLP
+        # weight non-finite; that epoch's channel step carries it into the
+        # channel weights (NaN, or 0 * inf where tanh saturates).
+        n_epochs = 3
+        grads = _BatchTrainer._grads
+        caller = os.getpid()
+        calls = _shared_counts(1)
 
-        def loss_with_nan(self):
-            out = loss(self)
-            in_caller = threading.current_thread() is threading.main_thread()
-            if in_caller == (diverging == "caller"):
-                out[-1] = np.nan
-            return out
+        def grads_with_value(self, fwd=None, mlp=True, channel=True):
+            g = grads(self, fwd, mlp, channel)
+            if os.getpid() != caller:
+                calls[0] += 1
+                if calls[0] == 2 * n_epochs - 1:
+                    g[weight][0, 0, 0] = value
+            return g
 
-        monkeypatch.setattr(_BatchTrainer, "loss", loss_with_nan)
+        monkeypatch.setattr(_BatchTrainer, "_grads", grads_with_value)
         monkeypatch.setattr(structnet, "_n_parts", lambda trainer: 2)
         y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 30)
-        with pytest.raises(TrainingDivergenceError):
-            estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=2), 31)
+        with pytest.raises(TrainingDivergenceError, match=f"epoch {n_epochs}$"):
+            estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=n_epochs), 31)
+        assert calls[0] == 2 * n_epochs
 
     @pytest.mark.parametrize("n_parts,diverging",
                              [(1, "caller"), (2, "caller"), (2, "worker")])
@@ -773,14 +874,14 @@ class TestParallelParts:
         # train all 50.
         n_epochs, bad_epoch = 50, 3
         grads = _BatchTrainer._grads
-        calls = {}
+        caller = os.getpid()
+        calls = _shared_counts(2)  # diverging, healthy
 
         def grads_with_nan(self, fwd=None, mlp=True, channel=True):
-            in_caller = threading.current_thread() is threading.main_thread()
-            key = "diverging" if in_caller == (diverging == "caller") else "healthy"
-            calls[key] = calls.get(key, 0) + 1
+            key = 0 if (os.getpid() == caller) == (diverging == "caller") else 1
+            calls[key] += 1
             g = grads(self, fwd, mlp, channel)
-            if key == "diverging" and calls[key] == 2 * bad_epoch + 1:
+            if key == 0 and calls[key] == 2 * bad_epoch + 1:
                 g["w3"][0, 0, 0] = np.nan
             return g
 
@@ -788,12 +889,12 @@ class TestParallelParts:
         monkeypatch.setattr(structnet, "_n_parts", lambda trainer: n_parts)
         y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 34)
         for kind in (IilKind.MODULO, IilKind.SHIFTING):
-            calls.clear()
+            calls[:] = 0
             cfg = TrainConfig(epochs=n_epochs, iil_kind=kind)
             with pytest.raises(TrainingDivergenceError, match="epoch 4"):
                 estimate_channel_structnet(y_p, x_p, cfg, 35)
-            assert calls["diverging"] == 2 * (bad_epoch + 1), kind
-            assert calls.get("healthy", 0) < 2 * n_epochs, kind
+            assert calls[0] == 2 * (bad_epoch + 1), kind
+            assert calls[1] < 2 * n_epochs, kind
 
     def test_cache_cap_checked_for_the_whole_batch(self, monkeypatch):
         # 2x2 at 16 subcarriers: 64 models x 4 samples x 4 reals x 343 grid
@@ -801,15 +902,57 @@ class TestParallelParts:
         whole_bytes = 64 * 4 * 4 * 343 * 4
         monkeypatch.setattr(structnet, "CACHE_BYTE_CAP", whole_bytes * 3 // 4)
         monkeypatch.setattr(structnet, "_n_parts", lambda trainer: 2)
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda self: started.append(self) or start(self))
+        sent = []
+        send_part = structnet._send_part
+        monkeypatch.setattr(structnet, "_send_part",
+                            lambda *args: sent.append(args[2]) or send_part(*args))
         y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=16), 32)
         cfg = TrainConfig(epochs=1, iil_kind=IilKind.SHIFTING)
         with pytest.raises(ResourceLimitError, match="cache"):
             estimate_channel_structnet(y_p, x_p, cfg, 33)
-        assert started == []
+        assert sent == [] and structnet._WORKERS.procs == []
         monkeypatch.setattr(structnet, "CACHE_BYTE_CAP", whole_bytes)
         estimate_channel_structnet(y_p, x_p, cfg, 33)
-        assert len(started) == 1
+        assert len(sent) == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_workers_end_with_their_caller(self):
+        proc = subprocess.run(_split_estimate("exit"), capture_output=True, text=True,
+                              env=_env(), timeout=120, check=True)
+        pids, left_at_exit = proc.stdout.split("\n")[:2]
+        assert len(pids.split()) == 3
+        assert left_at_exit == ""  # ended and waited for before the interpreter exits
+
+    def test_forked_child_has_workers_of_its_own(self):
+        structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 4, True), 1, 2)
+        workers = list(structnet._WORKERS.procs)
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                inherited = list(structnet._WORKERS.procs)
+                structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 4, True), 1, 2)
+                own = [pid for pid, _, _ in structnet._WORKERS.procs]
+                structnet._close_workers()
+                status = 0 if inherited == [] and len(own) == 1 else 2
+            finally:
+                os._exit(status)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert structnet._WORKERS.procs == workers
+        structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 4, True), 1, 2)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_workers_end_when_their_caller_is_killed(self):
+        proc = subprocess.Popen(_split_estimate("wait"), stdout=subprocess.PIPE, text=True,
+                                env=_env())
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        assert len(pids) == 3
+        deadline = time.monotonic() + 10.0
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids))
