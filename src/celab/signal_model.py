@@ -33,7 +33,6 @@ class Constellation:
     order: int
     pam_levels: np.ndarray        # ordered, e.g. [-3, -1, +1, +3]
     points: np.ndarray            # all order complex points
-    spacing: float
     avg_energy: float
     gray_codes: np.ndarray        # gray_codes[k] = bit word of pam_levels[k]
 
@@ -61,7 +60,6 @@ def build_constellation(order: int) -> Constellation:
         order=order,
         pam_levels=levels,
         points=points,
-        spacing=2.0,
         avg_energy=avg_energy,
         gray_codes=gray,
     )

@@ -30,16 +30,15 @@ so every training sample is a noise-free function of that estimate.
 
 Parallel parts.  Since no model shares anything with another, the batch
 trains as contiguous parts along the model axis, one per core
-(`_train_in_parts`): the first in the caller, the others in worker
-processes.  Each part is a view of the one `_BatchTrainer` built for the
-whole batch (`_BatchTrainer.part`).  The caller copies a worker's part into
-that worker's shared-memory buffer and sends it the part's other attributes
-(config, labels, shift grid) through a pipe; the worker trains the part in
-place, and the caller copies the trained weights back into the batch's
-arrays.  The numbers are bit for bit those of the whole batch in one process.
-A batch splits only when each part keeps at least one model and `_PART_WORK`
-(model, sample, shift-grid point, epoch) units (`_n_parts`), since a split
-costs ~0.3 ms per call.  `harness.bench_iil` trains in one part.
+(`_train_in_parts`): the first in the caller, each other in a worker
+process of its own.  Each part is a view of the one `_BatchTrainer` built
+for the whole batch (`_BatchTrainer.part`).  The caller sends a worker the
+part's attributes through a pipe; the worker trains its copy and replies
+with the trained weights, which the caller copies into the batch's arrays.
+The numbers are bit for bit those of the whole batch in one process.  A
+batch splits only when each part keeps at least one model and `_PART_WORK`
+(model, sample, shift-grid point, epoch) units (`_n_parts`), since the pipe
+costs time on every call.  `harness.bench_iil` trains in one part.
 
 Processes, not threads.  An epoch is ~100 numpy calls of 2-70 us each, and
 the GIL changes hands at every call: two threads training the 64-subcarrier
@@ -47,16 +46,18 @@ modulo batch (256 models, 200 epochs) ran at 0.65-0.87x the speed of one,
 and two threads running 4 us numpy calls got 0.34-0.68x the throughput of
 one.  Two processes each keep their solo speed.
 
-Lifecycle.  Workers are forked (`os.fork`) at the first call that splits, at
-most one per core but the caller's, and serve later calls; `_close_workers`
-ends them and waits for them, and runs at interpreter exit.  A worker never
-returns into the caller's code: it ends with `os._exit`, so no `atexit` hook
-or test finalizer runs in it.  It ignores SIGINT, which is the caller's to
-handle, and exits by itself on EOF from its pipe, whose other end only the
-caller holds, when the caller dies without ending it.  A process forked from
-the caller does not inherit its workers.  Fork, not spawn: a worker starts
-in ~1 ms with the lab imported and inherits the caller's code as it stands,
-monkeypatches included.  Without `os.fork` the batch trains in one part.
+Lifecycle.  Workers are forked (`os.fork`) at the first call that splits,
+one per part but the caller's, and serve later calls, which fork only the
+workers they lack: forking, exiting and reaping a worker on every call took
+~4 ms in a 35-50 MB caller.  `_close_workers` ends them and waits for them,
+and runs at interpreter exit.  A worker never returns into the caller's
+code: it ends with `os._exit`, so no `atexit` hook or test finalizer runs
+in it.  It ignores SIGINT, which is the caller's to handle, and exits by
+itself on EOF from its pipe, whose other end only the caller holds, when
+the caller dies without ending it.  A process forked from the caller does
+not inherit its workers.  Fork, not spawn: a worker starts in ~1 ms with the
+lab imported and inherits the caller's code as it stands, monkeypatches
+included.  Without `os.fork` the batch trains in one part.
 
 BLAS calls.  A part makes only per-model BLAS calls: every matmul of an
 epoch and of `loss` is a stack of one small product per model.  The
@@ -64,13 +65,10 @@ largest are the shifting layer's (D, K) @ (K, G) shifts and its backward's
 (D, G) @ (G, K), D*K*G multiply-adds each: 4116 at 2x2, 5.0e5 at 3x3.
 OpenBLAS spreads a product over n threads only from about n * 2.6e5
 multiply-adds, so up to 3x3 no part starts BLAS threads of its own, in the
-caller or in a worker, and the busy threads are the parts.  One flat
-(B*D, K) @ (K, G) product for a part's shifts crosses that line at 128
-models (5.3e5): with BLAS allowed both cores of a 2-core machine, two
-thread parts then kept four threads busy, and the 64-subcarrier 2x2
-shifting sweep trained 13.2 cells/s in two parts against 14.0 in one.  With
-per-model products two thread parts trained ~23 cells/s against ~15 in one,
-with one BLAS thread or two (numpy 2.4, OpenBLAS 0.3.31).
+caller or in a worker, and the busy processes are the parts.  One flat
+(B*D, K) @ (K, G) product for a part's shifts would cross that line at 128
+models (5.3e5), and its BLAS threads would then contend with the other parts
+for the cores.
 """
 
 import atexit
@@ -136,11 +134,14 @@ class TrainConfig:
 
 
 # Work, in (model, sample, shift-grid point, epoch) units, each parallel part
-# must keep.  Two parts in two processes against one, float32, interleaved
-# medians on a 2-core Xeon (KVM) with numpy 2.4: modulo 1.27x at 5120 units
-# per part (256 models, 10 epochs), 1.48x at 10240 and 1.64x at 20480;
-# shifting (343 grid points) 1.14x at 43904 (32 models, 2 epochs).  A call
-# that splits costs ~0.3 ms more, so a 2-model epoch ran at 0.5x.
+# must keep.  Two parts in two processes against one, float32, 2x2, 16-QAM,
+# interleaved medians on a 2-core Xeon (KVM) with numpy 2.4: modulo
+# 1.42-1.51x at 5120 units per part (256 models, 10 epochs), 1.55x at 10240
+# and 1.61x at 20480; shifting (343 grid points) 0.83-0.91x at 43904 (32
+# models, 2 epochs), 0.96-1.14x at 175616 (8 epochs) and 1.40x at 351232 (64
+# models).  A call that splits costs more, mostly for pickling the parts'
+# arrays both ways through the pipes: 0.5-0.6 ms at 32 models, 1.1-1.7 ms at
+# 256 and 21-30 ms at 4096 (medians of 200-300 zero-epoch calls in two parts).
 _PART_WORK = 8192
 
 # Weight names of a model, in StructNetModel and _BatchTrainer alike.
@@ -498,56 +499,23 @@ def _n_parts(trainer: _BatchTrainer) -> int:
     return max(1, min(_cores(), work // _PART_WORK, n_models))
 
 
-def _layout(part: _BatchTrainer) -> tuple:
-    """Where a part's per-model arrays go in a worker's buffer: (name, shape,
-    dtype, byte offset) of each, one after another at 64-byte boundaries, and
-    the bytes they take."""
-    specs, end = [], 0
-    for name in _PER_MODEL:
-        a = getattr(part, name)
-        specs.append((name, a.shape, a.dtype, end))
-        end += -(-a.nbytes // 64) * 64
-    return specs, end
-
-
-def _send_part(conn, buf, part: _BatchTrainer, n_epochs: int) -> None:
-    """Copy the part's per-model arrays into the worker's buffer and send it
-    the part's other attributes, the layout and the epochs to train."""
-    specs, _ = _layout(part)
-    for name, shape, dtype, offset in specs:
-        np.ndarray(shape, dtype, buf, offset)[...] = getattr(part, name)
-    state = {name: value for name, value in vars(part).items() if name not in _PER_MODEL}
-    conn.send((state, specs, n_epochs))
-
-
-def _receive_part(conn, buf, part: _BatchTrainer):
-    """Wait for the worker's reply and copy the trained weights out of its
-    buffer into the part; returns the exception the part raised, or None."""
-    reply = conn.recv()
-    for name, shape, dtype, offset in _layout(part)[0][:len(_WEIGHTS)]:
-        getattr(part, name)[...] = np.ndarray(shape, dtype, buf, offset)
-    return reply
-
-
-def _serve(conn, buf, stop: mmap.mmap) -> None:
-    """A worker's loop: train each part received as a `_BatchTrainer` whose
-    per-model arrays are views of buf, and reply None, or the exception the
-    part raised.  Returns once every copy of the caller's end of the
-    connection is closed, as when the caller dies."""
+def _serve(conn, stop: mmap.mmap) -> None:
+    """A worker's loop: train each part received as a `_BatchTrainer`'s
+    attributes, and reply with its trained weights (in `_WEIGHTS` order) or
+    with the exception the part raised.  Returns once every copy of the
+    caller's end of the connection is closed, as when the caller dies."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # `_Workers.close` ends the process
     while True:
         try:
-            state, specs, n_epochs = conn.recv()
+            state, n_epochs = conn.recv()
         except EOFError:
             return
         part = object.__new__(_BatchTrainer)
         vars(part).update(state)
-        for name, shape, dtype, offset in specs:
-            setattr(part, name, np.ndarray(shape, dtype, buf, offset))
         try:
             part.run_epochs(n_epochs, stop)
-            reply = None
+            reply = tuple(getattr(part, name) for name in _WEIGHTS)
         except BaseException as exc:  # sent to the caller, which raises it
             stop[0] = 1
             reply = exc
@@ -556,41 +524,31 @@ def _serve(conn, buf, stop: mmap.mmap) -> None:
 
 class _Workers:
     """Forked processes that train the parts `_train_in_parts` hands out,
-    kept from call to call.  Each has a shared-memory buffer of `capacity`
-    bytes: the caller copies a part's per-model arrays into it, the worker
-    trains them there and the caller copies the weights back.  `lock` lets
-    one call use the workers at a time."""
+    kept from call to call.  `lock` lets one call use them at a time."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.stop = mmap.mmap(-1, 1)  # nonzero once a part has raised; shared with the workers
-        self.capacity = 0
-        self.procs = []  # (pid, connection, buffer), in fork order
+        self.procs = []  # (pid, connection), in fork order
 
-    def start(self, n: int, nbytes: int) -> list:
-        """(connection, buffer) of the first n workers, whose buffers hold at
-        least nbytes.  Forks the workers missing, all of them afresh, with
-        buffers of the next power of two, when the buffers are too small."""
-        if nbytes > self.capacity:
-            self.close()
-            self.capacity = 1 << (max(nbytes, 1) - 1).bit_length()
+    def start(self, n: int) -> list:
+        """Connections to the first n workers; forks those missing."""
         while len(self.procs) < n:
-            buf = mmap.mmap(-1, self.capacity)
             ours, theirs = multiprocessing.Pipe()
             pid = os.fork()
             if pid == 0:  # the worker; `forget` has closed the others' connections
                 try:
                     ours.close()
-                    _serve(theirs, buf, self.stop)
+                    _serve(theirs, self.stop)
                 finally:
                     os._exit(0)
             theirs.close()
-            self.procs.append((pid, ours, buf))
-        return [(conn, buf) for _, conn, buf in self.procs[:n]]
+            self.procs.append((pid, ours))
+        return [conn for _, conn in self.procs[:n]]
 
     def close(self) -> None:
         """End every worker and wait for it."""
-        for pid, conn, _ in self.procs:
+        for pid, conn in self.procs:
             conn.close()
             try:
                 os.kill(pid, signal.SIGTERM)
@@ -601,7 +559,7 @@ class _Workers:
 
     def forget(self) -> None:
         """In a forked child: drop the parent's workers without ending them."""
-        for _, conn, _ in self.procs:
+        for _, conn in self.procs:
             conn.close()
         self.procs = []
         self.lock = threading.Lock()
@@ -623,9 +581,9 @@ atexit.register(_close_workers)
 
 def _train_in_parts(trainer: _BatchTrainer, n_epochs: int, n_parts: int) -> None:
     """Train the batch as n_parts contiguous parts along the model axis: the
-    first in the caller, the others in worker processes, at most one worker
-    per core but the caller's.  The trainer's arrays end up bit for bit as
-    after training the whole batch in the caller.
+    first in the caller, each other in a worker process of its own.  The
+    trainer's arrays end up bit for bit as after training the whole batch in
+    the caller.
 
     An exception raised in any part is raised here, once every part has
     ended; the other parts stop before their next epoch.
@@ -638,24 +596,23 @@ def _train_in_parts(trainer: _BatchTrainer, n_epochs: int, n_parts: int) -> None
     error = None
     with _WORKERS.lock:
         try:
-            workers = _WORKERS.start(max(1, min(len(parts), _cores() - 1)),
-                                     max(_layout(part)[1] for part in parts))
+            conns = _WORKERS.start(len(parts))
             _WORKERS.stop[0] = 0
-            for (conn, buf), part in zip(workers, parts):
-                _send_part(conn, buf, part, n_epochs)
+            for conn, part in zip(conns, parts):
+                # Its attributes, not the part: a subclass local to a function does not pickle.
+                conn.send((vars(part), n_epochs))
             try:
                 caller_part.run_epochs(n_epochs, _WORKERS.stop)
             except BaseException as exc:  # raised below, once every part has ended
                 _WORKERS.stop[0] = 1
                 error = exc
-            # Worker k trains parts k, k+n, ...: each sent once the weights
-            # of the one before are out of the worker's buffer.
-            for i, part in enumerate(parts):
-                conn, buf = workers[i % len(workers)]
-                reply = _receive_part(conn, buf, part)  # always read: the replies are in order
-                error = error or reply
-                if i + len(workers) < len(parts):
-                    _send_part(conn, buf, parts[i + len(workers)], n_epochs)
+            for conn, part in zip(conns, parts):
+                reply = conn.recv()  # always read: an unread reply would answer the next call
+                if isinstance(reply, BaseException):
+                    error = error or reply
+                else:
+                    for name, trained in zip(_WEIGHTS, reply):
+                        getattr(part, name)[...] = trained
         except BaseException:
             _WORKERS.close()  # replies may still be on their way
             raise

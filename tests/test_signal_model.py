@@ -20,7 +20,6 @@ class TestConstellation:
     def test_16qam_levels_and_energy(self):
         c = build_constellation(16)
         assert np.array_equal(c.pam_levels, [-3, -1, 1, 3])
-        assert c.spacing == 2.0
         assert c.avg_energy == 10.0
         assert c.order == 16
         assert len(c.points) == 16

@@ -684,11 +684,10 @@ spec = SubframeSpec(n_sc=8)
 ss = np.random.SeedSequence(40).spawn(3)
 grid = generate_transmit_grid(spec, build_constellation(16), ss[1])
 y = apply_channel(grid, sample_channel(exponential_pdp(4, 2.0), spec, ss[0]), NoiseSpec(1.0), ss[2])
-structnet._cores = lambda: 4
 structnet._n_parts = lambda trainer: 4
 structnet.estimate_channel_structnet(y[:, :, :spec.n_pilot], grid.pilots,
                                      structnet.TrainConfig(epochs=2), 41)
-pids += [pid for pid, _, _ in structnet._WORKERS.procs]
+pids += [pid for pid, _ in structnet._WORKERS.procs]
 print(*pids, flush=True)
 if sys.argv[1] == "wait":
     time.sleep(60)
@@ -733,8 +732,8 @@ class TestParallelParts:
         yield
         structnet._close_workers()
 
-    # 7 models: parts of uneven size, and at 7 parts one model per part, six
-    # queued on one worker of a 2-core machine.
+    # 7 models: parts of uneven size, and at 7 parts one model per part, in
+    # six workers, more than a 2-core machine has cores.
     @pytest.mark.parametrize("n_parts", [2, 3, 7])
     @pytest.mark.parametrize("update_interference", [True, False])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -751,13 +750,12 @@ class TestParallelParts:
     def test_more_workers_than_cores(self, monkeypatch, kind):
         whole = _batch_trainer(kind, 7, True, dtype=np.float32)
         whole.run_epochs(3)
-        monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(8)))
         for _ in range(2):  # the second call reuses the six workers
             parts = _batch_trainer(kind, 7, True, dtype=np.float32)
             structnet._train_in_parts(parts, 3, 7)
             for name in ALL_WEIGHTS:
                 assert np.array_equal(getattr(parts, name), getattr(whole, name)), name
-            assert len(structnet._WORKERS.procs) == 6
+            assert len(structnet._WORKERS.procs) == 6  # one per part after the first
 
     @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
     def test_estimate_same_in_one_and_two_parts(self, monkeypatch, kind):
@@ -902,18 +900,31 @@ class TestParallelParts:
         whole_bytes = 64 * 4 * 4 * 343 * 4
         monkeypatch.setattr(structnet, "CACHE_BYTE_CAP", whole_bytes * 3 // 4)
         monkeypatch.setattr(structnet, "_n_parts", lambda trainer: 2)
-        sent = []
-        send_part = structnet._send_part
-        monkeypatch.setattr(structnet, "_send_part",
-                            lambda *args: sent.append(args[2]) or send_part(*args))
         y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=16), 32)
         cfg = TrainConfig(epochs=1, iil_kind=IilKind.SHIFTING)
         with pytest.raises(ResourceLimitError, match="cache"):
             estimate_channel_structnet(y_p, x_p, cfg, 33)
-        assert sent == [] and structnet._WORKERS.procs == []
+        assert structnet._WORKERS.procs == []
         monkeypatch.setattr(structnet, "CACHE_BYTE_CAP", whole_bytes)
         estimate_channel_structnet(y_p, x_p, cfg, 33)
-        assert len(sent) == 1
+        assert len(structnet._WORKERS.procs) == 1
+
+    def test_workers_persist_across_a_larger_batch(self, monkeypatch):
+        monkeypatch.setattr(structnet, "_n_parts", lambda trainer: 2)
+        pids = []
+        for n_sc in (8, 64):  # the second batch's part holds 8 times the first's models
+            y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=n_sc), 36)
+            estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=1), 37)
+            pids.append([pid for pid, _ in structnet._WORKERS.procs])
+        assert len(pids[0]) == 1 and pids[1] == pids[0]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+    def test_closed_workers_leave_no_descriptor_open(self):
+        before = sorted(os.listdir("/proc/self/fd"))
+        structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 6, True), 1, 3)
+        assert len(structnet._WORKERS.procs) == 2
+        structnet._close_workers()
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     def test_workers_end_with_their_caller(self):
@@ -932,7 +943,7 @@ class TestParallelParts:
             try:
                 inherited = list(structnet._WORKERS.procs)
                 structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 4, True), 1, 2)
-                own = [pid for pid, _, _ in structnet._WORKERS.procs]
+                own = [pid for pid, _ in structnet._WORKERS.procs]
                 structnet._close_workers()
                 status = 0 if inherited == [] and len(own) == 1 else 2
             finally:
