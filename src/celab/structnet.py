@@ -59,16 +59,18 @@ not inherit its workers.  Fork, not spawn: a worker starts in ~1 ms with the
 lab imported and inherits the caller's code as it stands, monkeypatches
 included.  Without `os.fork` the batch trains in one part.
 
-BLAS calls.  A part makes only per-model BLAS calls: every matmul of an
-epoch and of `loss` is a stack of one small product per model.  The
-largest are the shifting layer's (D, K) @ (K, G) shifts and its backward's
-(D, G) @ (G, K), D*K*G multiply-adds each: 4116 at 2x2, 5.0e5 at 3x3.
-OpenBLAS spreads a product over n threads only from about n * 2.6e5
-multiply-adds, so up to 3x3 no part starts BLAS threads of its own, in the
-caller or in a worker, and the busy processes are the parts.  One flat
-(B*D, K) @ (K, G) product for a part's shifts would cross that line at 128
-models (5.3e5), and its BLAS threads would then contend with the other parts
-for the cores.
+BLAS calls.  A part makes only per-model BLAS calls: every matmul is a
+stack of one small product per model.  The largest, the shifting layer's
+(D, K) @ (K, G) and (D, G) @ (G, K), take D*K*G multiply-adds: 4116 at 2x2,
+5.0e5 at 3x3, below the n * 2.6e5 from which OpenBLAS spreads a product over
+n threads, so no part starts BLAS threads of its own; one flat (B*D, K) @
+(K, G) product per part would cross that line at 128 models.  The hidden
+layers multiply by w1 and w2 as contiguous (B, in, out) copies, which
+`run_epochs` refreshes after each classifier step: for 128 float32 models,
+z @ w1.T and a1 @ w2.T took 20 and 40 us on `swapaxes` views against 7 and
+13 us on copies, in the same bits (OpenBLAS 0.3.31; feature-major w @ x.T
+was slower, and not bit-identical in float64).  w3's view and the weight
+gradients' transposed first operands are as fast as copies, or faster.
 """
 
 import atexit
@@ -136,10 +138,10 @@ class TrainConfig:
 # Work, in (model, sample, shift-grid point, epoch) units, each parallel part
 # must keep.  Two parts in two processes against one, float32, 2x2, 16-QAM,
 # interleaved medians on a 2-core Xeon (KVM) with numpy 2.4: modulo
-# 1.42-1.51x at 5120 units per part (256 models, 10 epochs), 1.55x at 10240
-# and 1.61x at 20480; shifting (343 grid points) 0.83-0.91x at 43904 (32
-# models, 2 epochs), 0.96-1.14x at 175616 (8 epochs) and 1.40x at 351232 (64
-# models).  A call that splits costs more, mostly for pickling the parts'
+# 1.35-1.42x at 5120 units per part (256 models, 10 epochs), 1.44-1.57x at
+# 10240 and 1.58-1.67x at 20480; shifting (343 grid points) 0.64-1.02x at 43904
+# (32 models, 2 epochs), 0.99-1.23x at 175616 (8 epochs) and 1.51x at 351232
+# (64 models).  A call that splits costs more, mostly for pickling the parts'
 # arrays both ways through the pipes: 0.5-0.6 ms at 32 models, 1.1-1.7 ms at
 # 256 and 21-30 ms at 4096 (medians of 200-300 zero-epoch calls in two parts).
 _PART_WORK = 8192
@@ -220,18 +222,21 @@ def shift_grid(n_vectors: int, m_window: int) -> np.ndarray:
 
 # -- the forward, on batches: s and z are (B, S, D), interference (B, K, D) --
 def _modulo(s, interference, eps: float):
-    """Sequential elementwise modulo by 2*h_k; returns (output, per-vector
-    quotients).  Entries of h_k with magnitude below eps are skipped
-    (quotient 0)."""
+    """Sequential elementwise modulo by 2*h_k; returns (output, quotients
+    (K, B, S, D), row k for h_k).  Entries of h_k with magnitude below eps are
+    skipped (quotient 0).  The mask and 2*h are built for all k, repeated over
+    the samples: ops on a (B, 1, D) row broadcast over S run ~5x slower."""
+    h = np.repeat(interference.swapaxes(0, 1)[:, :, None, :], s.shape[1], axis=2)
+    two_h = 2.0 * h
+    skip = ~(np.abs(h) >= eps)
+    denom = two_h.copy()
+    np.copyto(denom, 1.0, where=skip)
+    alphas = np.empty_like(denom)
     z = s
-    alphas = []
-    for k in range(interference.shape[1]):
-        h = interference[:, k, :][:, None, :]  # (B, 1, D)
-        mask = np.abs(h) >= eps
-        denom = np.where(mask, 2.0 * h, 1.0)
-        alpha = np.where(mask, np.floor(z / denom), 0.0)
-        z = z - 2.0 * h * alpha
-        alphas.append(alpha)
+    for k, alpha in enumerate(alphas):
+        np.floor(np.divide(z, denom[k], out=alpha), out=alpha)
+        np.copyto(alpha, 0.0, where=skip[k])
+        z = z - two_h[k] * alpha
     return z, alphas
 
 
@@ -270,11 +275,32 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return p
 
 
-def _mlp(z, w1, b1, w2, b2, w3, b3):
-    """Both tanh hidden layers and the softmax output: (a1, a2, p)."""
-    a1 = np.tanh(z @ w1.swapaxes(1, 2) + b1[:, None, :])
-    a2 = np.tanh(a1 @ w2.swapaxes(1, 2) + b2[:, None, :])
+def _transposed(w):
+    """A stack of matrices (B, m, n) as a contiguous (B, n, m) array."""
+    return np.ascontiguousarray(w.swapaxes(1, 2))
+
+
+def _mlp(z, w1, b1, w2, b2, w3, b3, wt=None):
+    """Both tanh hidden layers and the softmax output: (a1, a2, p).  The hidden
+    layers take w1 and w2 transposed as contiguous arrays, `wt`, or copies
+    made here when it is None (module docstring, "BLAS calls")."""
+    w1t, w2t = (_transposed(w1), _transposed(w2)) if wt is None else wt
+    a1 = z @ w1t
+    a1 += b1[:, None, :]
+    np.tanh(a1, out=a1)
+    a2 = a1 @ w2t
+    a2 += b2[:, None, :]
+    np.tanh(a2, out=a2)
     return a1, a2, _softmax(a2 @ w3.swapaxes(1, 2) + b3[:, None, :])
+
+
+def _sum_samples(x):
+    """x (..., S, n) summed over its S samples in order, from +0 as numpy
+    sums: the bits of `x.sum(axis=-2)`, at about half its cost."""
+    total = x[..., 0, :] + 0.0
+    for i in range(1, x.shape[-2]):
+        total += x[..., i, :]
+    return total
 
 
 def _binary_samples(x_pam, y):
@@ -331,6 +357,7 @@ class _BatchTrainer:
         self.lam = np.ascontiguousarray(lam, dtype=dtype)               # (B, S)
         self.y = np.ascontiguousarray(y, dtype=dtype)                   # (B, S, D)
         self.n_samples = self.y.shape[1]
+        self._wt = None  # `_mlp`'s wt while `run_epochs` runs
         if cfg.iil_kind is IilKind.SHIFTING:
             # Checked before the grid is built: its size alone can be large.
             n_points = (2 * cfg.iil_window + 1) ** self.interference.shape[1]
@@ -355,7 +382,7 @@ class _BatchTrainer:
         return _channel_layer(self.y, self.lam, self.desired)
 
     def _iil_modulo(self, s):
-        """Sequential modulo; returns (output, per-vector quotients)."""
+        """Sequential modulo; returns (output, quotients (K, B, S, D))."""
         return _modulo(s, self.interference, self.cfg.eps_mod)
 
     def _iil_shifting(self, s):
@@ -385,7 +412,7 @@ class _BatchTrainer:
         return ds, g_int
 
     def _mlp_forward(self, z):
-        return _mlp(z, self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
+        return _mlp(z, self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self._wt)
 
     def _forward(self):
         """Channel layer and IIL: (z, IIL backward cache) for the current weights."""
@@ -412,21 +439,22 @@ class _BatchTrainer:
         pass spends a shifting cache.
         """
         z, cache = self._forward() if fwd is None else fwd
-        a1, a2, p = self._mlp_forward(z)
+        a1, a2, dlogits = self._mlp_forward(z)
 
-        dlogits = p.copy()
         dlogits[:, np.arange(self.n_samples), self.labels] -= 1.0
         dlogits /= self.n_samples
-        da2 = (dlogits @ self.w3) * (1.0 - a2 * a2)
-        da1 = (da2 @ self.w2) * (1.0 - a1 * a1)
+        da2 = dlogits @ self.w3
+        da2 *= 1.0 - a2 * a2
+        da1 = da2 @ self.w2
+        da1 *= 1.0 - a1 * a1
         g = {}
         if mlp:
             g["w3"] = dlogits.swapaxes(1, 2) @ a2
-            g["b3"] = dlogits.sum(axis=1)
+            g["b3"] = _sum_samples(dlogits)
             g["w2"] = da2.swapaxes(1, 2) @ a1
-            g["b2"] = da2.sum(axis=1)
+            g["b2"] = _sum_samples(da2)
             g["w1"] = da1.swapaxes(1, 2) @ z
-            g["b1"] = da1.sum(axis=1)
+            g["b1"] = _sum_samples(da1)
         if not channel:
             return g
         dz = da1 @ self.w1
@@ -435,12 +463,7 @@ class _BatchTrainer:
             # Quotients are constants, so the layer is affine in its input
             # and in each interference vector.
             ds = dz
-            if cache:
-                g["interference"] = np.stack(
-                    [-2.0 * (dz * a).sum(axis=1) for a in cache], axis=1
-                )
-            else:
-                g["interference"] = np.zeros_like(self.interference)
+            g["interference"] = (-2.0 * _sum_samples(dz * cache)).swapaxes(0, 1)
         else:
             ds, g["interference"] = self._iil_shifting_backward(cache, dz)
         g["desired"] = np.matmul(self.lam[:, None, :], ds)[:, 0, :]
@@ -457,25 +480,32 @@ class _BatchTrainer:
         once the byte `stop[0]` is nonzero.
         """
         cfg = self.cfg
-        for epoch in range(n_epochs):
-            if stop is not None and stop[0]:
-                return
-            fwd = self._forward()
-            # g_mlp stays bound until the next epoch's replaces it.  Freed at
-            # the end of each epoch, its weight-sized arrays let malloc trim
-            # the heap and fault it back in: ~500 page faults per epoch at
-            # 64 subcarriers, 15-25% of the epoch.
-            g_mlp = self._grads(fwd, channel=False)
-            for name in _WEIGHTS[2:]:
-                w = getattr(self, name)
-                w -= cfg.lr_classifier * g_mlp[name]
-            g = self._grads(fwd, mlp=False)
-            del fwd  # the next epoch's forward must not overlap this cache
-            self.desired -= cfg.lr_channel * g["desired"]
-            if cfg.update_interference:
-                self.interference -= cfg.lr_channel * g["interference"]
-            if not (np.isfinite(self.desired).all() and np.isfinite(self.interference).all()):
-                raise TrainingDivergenceError(f"non-finite channel weight in epoch {epoch + 1}")
+        # The forward's transposed w1 and w2, copied after each classifier step.
+        self._wt = (_transposed(self.w1), _transposed(self.w2))
+        try:
+            for epoch in range(n_epochs):
+                if stop is not None and stop[0]:
+                    return
+                fwd = self._forward()
+                # g_mlp stays bound until the next epoch's replaces it.  Freed
+                # at the end of each epoch, its weight-sized arrays let malloc
+                # trim the heap and fault it back in: ~500 page faults per
+                # epoch at 64 subcarriers, 15-25% of the epoch.
+                g_mlp = self._grads(fwd, channel=False)
+                for name in _WEIGHTS[2:]:
+                    w = getattr(self, name)
+                    w -= cfg.lr_classifier * g_mlp[name]
+                for wt, w in zip(self._wt, (self.w1, self.w2)):
+                    np.copyto(wt, w.swapaxes(1, 2))
+                g = self._grads(fwd, mlp=False)
+                del fwd  # the next epoch's forward must not overlap this cache
+                self.desired -= cfg.lr_channel * g["desired"]
+                if cfg.update_interference:
+                    self.interference -= cfg.lr_channel * g["interference"]
+                if not (np.isfinite(self.desired).all() and np.isfinite(self.interference).all()):
+                    raise TrainingDivergenceError(f"non-finite channel weight in epoch {epoch + 1}")
+        finally:
+            self._wt = None
 
 
 def _cores() -> int:

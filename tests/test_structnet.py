@@ -570,7 +570,8 @@ MLP_WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
 ALL_WEIGHTS = ("desired", "interference") + MLP_WEIGHTS
 
 
-def _batch_trainer(kind, n_batch, update_interference, seed=19, dtype=np.float64):
+def _batch_trainer(kind, n_batch, update_interference, seed=19, dtype=np.float64,
+                   n_h1=8, n_h2=8):
     """A fresh trainer with its own arrays; equal seeds give equal trainers."""
     rng = np.random.default_rng(seed)
     d, n_k, n_samples = 4, 3, 4
@@ -579,9 +580,9 @@ def _batch_trainer(kind, n_batch, update_interference, seed=19, dtype=np.float64
     interference = (rng.uniform(0.3, 1.5, (n_batch, n_k, d))
                     * rng.choice([-1, 1], (n_batch, n_k, d)))
     mlp = (
-        rng.normal(0, 0.3, (n_batch, 8, d)), rng.normal(0, 0.1, (n_batch, 8)),
-        rng.normal(0, 0.3, (n_batch, 8, 8)), rng.normal(0, 0.1, (n_batch, 8)),
-        rng.normal(0, 0.3, (n_batch, 2, 8)), rng.normal(0, 0.1, (n_batch, 2)),
+        rng.normal(0, 0.3, (n_batch, n_h1, d)), rng.normal(0, 0.1, (n_batch, n_h1)),
+        rng.normal(0, 0.3, (n_batch, n_h2, n_h1)), rng.normal(0, 0.1, (n_batch, n_h2)),
+        rng.normal(0, 0.3, (n_batch, 2, n_h2)), rng.normal(0, 0.1, (n_batch, 2)),
     )
     return _BatchTrainer(
         desired=rng.normal(0.0, 1.0, (n_batch, d)),
@@ -609,15 +610,25 @@ def _reference_epochs(tr, n_epochs):
             tr.interference -= cfg.lr_channel * g["interference"]
 
 
+def _reference_mlp(tr, z):
+    """The MLP forward with every weight taken as a `swapaxes` view."""
+    a1 = np.tanh(z @ tr.w1.swapaxes(1, 2) + tr.b1[:, None, :])
+    a2 = np.tanh(a1 @ tr.w2.swapaxes(1, 2) + tr.b2[:, None, :])
+    return a1, a2, _softmax(a2 @ tr.w3.swapaxes(1, 2) + tr.b3[:, None, :])
+
+
 class TestSharedForward:
     """`run_epochs` shares one forward per epoch and must match the reference
-    alternation bit for bit."""
+    alternation bit for bit, and its MLP forward the one on `swapaxes` views."""
 
     @staticmethod
-    def _assert_same_weights(kind, n_batch, update_interference, n_epochs=3):
-        fast = _batch_trainer(kind, n_batch, update_interference)
-        ref = _batch_trainer(kind, n_batch, update_interference)
-        start = _batch_trainer(kind, n_batch, update_interference)
+    def _assert_same_weights(kind, n_batch, update_interference, n_epochs=3, edit=None,
+                             **kw):
+        fast, ref, start = (_batch_trainer(kind, n_batch, update_interference, **kw)
+                            for _ in range(3))
+        for tr in (fast, ref, start):
+            if edit is not None:
+                edit(tr)
         fast.run_epochs(n_epochs)
         _reference_epochs(ref, n_epochs)
         for name in ALL_WEIGHTS:
@@ -625,12 +636,33 @@ class TestSharedForward:
         assert not np.array_equal(fast.desired, start.desired)
         moved = not np.array_equal(fast.interference, start.interference)
         assert moved is update_interference
+        z, _ = fast._forward()
+        for got, want in zip(fast._mlp_forward(z), _reference_mlp(fast, z)):
+            assert np.array_equal(got, want)
+        return fast
 
+    # The last input is the learner's own shape, where OpenBLAS's kernel
+    # choice depends on the operands' layout: float32, 16 and 32 hidden
+    # units, 4 samples of 4 reals, 128 models.
     @pytest.mark.parametrize("update_interference", [True, False])
-    @pytest.mark.parametrize("n_batch", [1, 3])
+    @pytest.mark.parametrize("n_batch,shape", [
+        pytest.param(1, {}, id="1"), pytest.param(3, {}, id="3"),
+        pytest.param(128, dict(dtype=np.float32, n_h1=16, n_h2=32), id="128-float32")])
     @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
-    def test_matches_two_full_grads(self, kind, n_batch, update_interference):
-        self._assert_same_weights(kind, n_batch, update_interference)
+    def test_matches_two_full_grads(self, kind, n_batch, shape, update_interference):
+        self._assert_same_weights(kind, n_batch, update_interference, **shape)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_masked_modulo_entry_under_training(self, dtype):
+        # One entry below eps_mod; every other is at least 0.3 in magnitude.
+        def mask_one(tr):
+            tr.interference[1, 2, 3] = 1e-9
+
+        tr = self._assert_same_weights(IilKind.MODULO, 3, True, n_epochs=5, edit=mask_one,
+                                       dtype=dtype)
+        assert tr.interference[1, 2, 3] == dtype(1e-9)  # a zero quotient: no gradient
+        _, alphas = tr._forward()
+        assert np.all(alphas[2, 1, :, 3] == 0.0) and not np.any(np.signbit(alphas[2, 1, :, 3]))
 
     @pytest.mark.parametrize("update_interference", [True, False])
     def test_chunked_shift_grid(self, monkeypatch, update_interference):
