@@ -115,17 +115,13 @@ class EmLmmseState:
     The correlation is held as `factored`: the identity prior of `initial`
     is a = 1 with no columns; after updates it is the weighted history of
     LS vectors, or the dense n x n matrix once the history would reach n
-    columns.  A `corr` given to the constructor is checked to be Hermitian
-    here, once, and held dense.  `corr` builds the n x n matrix on demand.
+    columns.  `corr` builds the n x n matrix on demand.
     """
 
-    def __init__(self, corr=None, subframes_seen: int = 0, window: int = 100, *,
-                 factored: FactoredCorr = None):
-        if (corr is None) == (factored is None):
-            raise InvalidArgumentError("give exactly one of corr and factored")
+    def __init__(self, factored: FactoredCorr, subframes_seen: int = 0, window: int = 100):
         if window < 1:
             raise InvalidArgumentError(f"window must be >= 1, got {window}")
-        self.factored = FactoredCorr.from_dense(corr) if factored is None else factored
+        self.factored = factored
         self.subframes_seen = subframes_seen
         self.window = window
 

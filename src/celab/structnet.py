@@ -15,9 +15,10 @@ implementation: one initializer (`_init_stream`, `_init_mlp`), one forward
 as a batch of one.
 
 Precision.  `estimate_channel_structnet` trains in float32 around a float64
-anchor, the LS estimate: the channel layer's input at the anchor,
-y + lambda * h_LS, is formed in float64, the trainer's desired weights hold
-only the change from h_LS (starting at 0), and the estimate h_LS + change is
+anchor, the LS estimate.  It builds the batch stream by stream, straight into
+the trainer's float32 arrays; only the anchor and the channel layer's input
+at it, y + lambda * h_LS, are formed in float64.  The desired weights hold
+the change from h_LS (starting at 0), and the estimate h_LS + change is
 summed in float64, so zero epochs return LS exactly.  The trainer's default
 stays float64, as does `model_forward`: their gradients and outputs are
 checked against finite differences and to 1e-9, which float32 would swamp.
@@ -169,23 +170,31 @@ class StructNetModel:
     eps_mod: float = 1e-6
 
 
-def _init_mlp(rng, n_models: int, dim: int, cfg: TrainConfig) -> tuple:
+def _mlp_shapes(dim: int, cfg: TrainConfig) -> tuple:
+    """One model's (w1, b1, w2, b2, w3, b3) shapes, for D = dim inputs."""
+    return (cfg.n_h1, dim), (cfg.n_h1,), (cfg.n_h2, cfg.n_h1), (cfg.n_h2,), (2, cfg.n_h2), (2,)
+
+
+def _init_mlp(rng, n_models: int, dim: int, cfg: TrainConfig, out=None) -> tuple:
     """MLP weights (w1, b1, w2, b2, w3, b3) of n_models classifiers:
-    weights N(0, 0.1), drawn in the order w1, w2, w3; biases 0."""
-    mlp = ()
-    for shape in ((cfg.n_h1, dim), (cfg.n_h2, cfg.n_h1), (2, cfg.n_h2)):
-        mlp += (rng.normal(0.0, 0.1, (n_models,) + shape), np.zeros((n_models, shape[0])))
-    return mlp
+    weights N(0, 0.1), drawn in the order w1, w2, w3; biases 0.  Written
+    into `out`, six arrays of any float dtype, if it is given."""
+    if out is None:
+        out = tuple(np.empty((n_models,) + shape) for shape in _mlp_shapes(dim, cfg))
+    for w, b in zip(out[::2], out[1::2]):
+        w[...] = rng.normal(0.0, 0.1, w.shape)
+        b[...] = 0.0
+    return out
 
 
-def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng):
+def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng, mlp_out=None):
     """Initial weights of one realized stream's models, one per subcarrier.
 
     h_ls is (n_sc, N_r, N_t).  Returns (desired (n_sc, D), interference
     (n_sc, K, D), MLP weights), D = 2*N_r, K = 2*N_t - 1.  The desired weights
     are the stream's realified channel column; the interference weights are
     the other realized streams' columns, ordered per cfg.iil_order on each
-    subcarrier separately.
+    subcarrier separately.  The MLP weights go into `mlp_out` if it is given.
     """
     n_sc, n_rx, n_tx = h_ls.shape
     desired = realify_channel_column(h_ls[:, :, stream % n_tx], stream, n_tx)
@@ -194,7 +203,7 @@ def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng):
     if cfg.iil_order is IilOrder.DESCENDING_STRENGTH:
         order = np.argsort(-np.sum(interference**2, axis=2), axis=1, kind="stable")
         interference = np.take_along_axis(interference, order[:, :, None], axis=1)
-    return desired, interference, _init_mlp(rng, n_sc, 2 * n_rx, cfg)
+    return desired, interference, _init_mlp(rng, n_sc, 2 * n_rx, cfg, mlp_out)
 
 
 def _channel_layer(y, lam, h):
@@ -294,10 +303,10 @@ def _mlp(z, w1, b1, w2, b2, w3, b3, wt=None):
     return a1, a2, _softmax(a2 @ w3.swapaxes(1, 2) + b3[:, None, :])
 
 
-def _sum_samples(x):
+def _sum_samples(x, out=None):
     """x (..., S, n) summed over its S samples in order, from +0 as numpy
-    sums: the bits of `x.sum(axis=-2)`, at about half its cost."""
-    total = x[..., 0, :] + 0.0
+    sums, into `out` if given: the bits of `x.sum(axis=-2)`, at half its cost."""
+    total = np.add(x[..., 0, :], 0.0, out=out)
     for i in range(1, x.shape[-2]):
         total += x[..., i, :]
     return total
@@ -354,10 +363,12 @@ class _BatchTrainer:
             np.ascontiguousarray(a, dtype=dtype) for a in mlp
         )
         self.labels = np.asarray(labels, dtype=int)                     # (S,) class indices
+        self._onehot = np.eye(2, dtype=dtype)[self.labels]              # (S, 2)
         self.lam = np.ascontiguousarray(lam, dtype=dtype)               # (B, S)
         self.y = np.ascontiguousarray(y, dtype=dtype)                   # (B, S, D)
         self.n_samples = self.y.shape[1]
         self._wt = None  # `_mlp`'s wt while `run_epochs` runs
+        self._g = None  # `_grads`'s MLP gradient arrays while `run_epochs` runs
         if cfg.iil_kind is IilKind.SHIFTING:
             # Checked before the grid is built: its size alone can be large.
             n_points = (2 * cfg.iil_window + 1) ** self.interference.shape[1]
@@ -436,12 +447,13 @@ class _BatchTrainer:
         `fwd` is a `_forward()` result for the current channel weights (one
         is computed when it is None).  `mlp` selects the six MLP gradients,
         `channel` the `desired` and `interference` gradients; a channel
-        pass spends a shifting cache.
+        pass spends a shifting cache.  The MLP gradients are written into
+        `self._g` while `run_epochs` runs, and are new arrays otherwise.
         """
         z, cache = self._forward() if fwd is None else fwd
         a1, a2, dlogits = self._mlp_forward(z)
 
-        dlogits[:, np.arange(self.n_samples), self.labels] -= 1.0
+        dlogits -= self._onehot
         dlogits /= self.n_samples
         da2 = dlogits @ self.w3
         da2 *= 1.0 - a2 * a2
@@ -449,12 +461,13 @@ class _BatchTrainer:
         da1 *= 1.0 - a1 * a1
         g = {}
         if mlp:
-            g["w3"] = dlogits.swapaxes(1, 2) @ a2
-            g["b3"] = _sum_samples(dlogits)
-            g["w2"] = da2.swapaxes(1, 2) @ a1
-            g["b2"] = _sum_samples(da2)
-            g["w1"] = da1.swapaxes(1, 2) @ z
-            g["b1"] = _sum_samples(da1)
+            out = self._g or dict.fromkeys(_WEIGHTS[2:])
+            g["w3"] = np.matmul(dlogits.swapaxes(1, 2), a2, out=out["w3"])
+            g["b3"] = _sum_samples(dlogits, out["b3"])
+            g["w2"] = np.matmul(da2.swapaxes(1, 2), a1, out=out["w2"])
+            g["b2"] = _sum_samples(da2, out["b2"])
+            g["w1"] = np.matmul(da1.swapaxes(1, 2), z, out=out["w1"])
+            g["b1"] = _sum_samples(da1, out["b1"])
         if not channel:
             return g
         dz = da1 @ self.w1
@@ -480,21 +493,18 @@ class _BatchTrainer:
         once the byte `stop[0]` is nonzero.
         """
         cfg = self.cfg
-        # The forward's transposed w1 and w2, copied after each classifier step.
+        # w1 and w2 transposed for the forward, and the one set of MLP gradients.
         self._wt = (_transposed(self.w1), _transposed(self.w2))
+        self._g = {name: np.empty_like(getattr(self, name)) for name in _WEIGHTS[2:]}
         try:
             for epoch in range(n_epochs):
                 if stop is not None and stop[0]:
                     return
                 fwd = self._forward()
-                # g_mlp stays bound until the next epoch's replaces it.  Freed
-                # at the end of each epoch, its weight-sized arrays let malloc
-                # trim the heap and fault it back in: ~500 page faults per
-                # epoch at 64 subcarriers, 15-25% of the epoch.
-                g_mlp = self._grads(fwd, channel=False)
-                for name in _WEIGHTS[2:]:
+                for name, g in self._grads(fwd, channel=False).items():
+                    g *= cfg.lr_classifier  # then w -= g: the bits of w -= lr * g
                     w = getattr(self, name)
-                    w -= cfg.lr_classifier * g_mlp[name]
+                    w -= g
                 for wt, w in zip(self._wt, (self.w1, self.w2)):
                     np.copyto(wt, w.swapaxes(1, 2))
                 g = self._grads(fwd, mlp=False)
@@ -505,7 +515,7 @@ class _BatchTrainer:
                 if not (np.isfinite(self.desired).all() and np.isfinite(self.interference).all()):
                     raise TrainingDivergenceError(f"non-finite channel weight in epoch {epoch + 1}")
         finally:
-            self._wt = None
+            self._wt = self._g = None
 
 
 def _cores() -> int:
@@ -722,20 +732,28 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed, h_ls=None) -> n
         raise InvalidArgumentError(f"antenna {odd[0]} transmits no pilot symbol")
     if odd.size:
         raise InvalidArgumentError("antennas differ in active pilot slot count")
-    per_stream = []
+
+    # Streams stacked along the batch axis: stream i owns models [i*n_sc, (i+1)*n_sc).
+    # Its draws go straight into its rows of the trainer's float32 arrays; the
+    # anchor and the channel layer's input at the anchor are formed in float64.
+    n_models, dim, f32 = 2 * n_tx * n_sc, 2 * y_p.shape[1], np.float32
+    anchor = np.empty((n_models, dim))
+    interference = np.empty((n_models, 2 * n_tx - 1, dim), f32)
+    mlp = tuple(np.empty((n_models,) + shape, f32) for shape in _mlp_shapes(dim, cfg))
+    lam = np.empty((n_models, 2 * n_slots[0]), f32)
+    y = np.empty(lam.shape + (dim,), f32)
     for i in range(2 * n_tx):
+        rows = slice(i * n_sc, (i + 1) * n_sc)
         slots = np.flatnonzero(active[i % n_tx])
         x = x_p[:, i % n_tx, slots]
         y_real = realify_signal(np.transpose(y_p[:, :, slots], (0, 2, 1)))  # (n_sc, P, D)
-        classes, lam, y_samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
-        desired, interference, mlp = _init_stream(h_ls, i, cfg,
-                                                  np.random.default_rng(seeds[i]))
-        per_stream.append((desired, interference, *mlp, lam, y_samples))
-
-    # Streams stacked along the batch axis: stream i owns models [i*n_sc, (i+1)*n_sc).
-    anchor, interference, *mlp, lam, y = (np.concatenate(a) for a in zip(*per_stream))
-    trainer = _BatchTrainer(np.zeros_like(anchor), interference, mlp, classes, lam,
-                            _channel_layer(y, lam, anchor), cfg, dtype=np.float32)
+        classes, lam_i, y_samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
+        anchor[rows], interference[rows], _ = _init_stream(
+            h_ls, i, cfg, np.random.default_rng(seeds[i]), [w[rows] for w in mlp])
+        lam[rows] = lam_i
+        y[rows] = _channel_layer(y_samples, lam_i, anchor[rows])
+    trainer = _BatchTrainer(np.zeros_like(anchor, f32), interference, mlp, classes, lam, y,
+                            cfg, dtype=f32)
     if cfg.epochs > 0:
         _train_in_parts(trainer, cfg.epochs, _n_parts(trainer))
 

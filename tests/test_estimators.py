@@ -5,6 +5,7 @@ from celab.channel_sim import NoiseSpec, apply_channel, analytic_freq_correlatio
 from celab.errors import InvalidArgumentError, NumericalFailureError
 from celab.estimators import (
     EmLmmseState,
+    FactoredCorr,
     estimate_em_lmmse,
     estimate_lmmse,
     estimate_ls,
@@ -44,6 +45,21 @@ class TestLs:
         x_p = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         with pytest.raises(NumericalFailureError):
             estimate_ls(np.ones((2, 2), dtype=complex), x_p)
+
+    @pytest.mark.parametrize("cond", [1e11, 1e13])
+    def test_guard_at_its_edge(self, cond):
+        # Pilots Q diag(1, s) with Q unitary: the Gram matrix has condition
+        # number 1/s^2, on either side of the 1e12 limit.
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(_random_channel(rng, 2, 2))
+        x_p = q @ np.diag([1.0, cond ** -0.5])
+        assert np.linalg.cond(x_p @ x_p.conj().T) == pytest.approx(cond, rel=1e-2)
+        h = _random_channel(rng, 2, 2)
+        if cond > 1e12:
+            with pytest.raises(NumericalFailureError, match="ill-conditioned"):
+                estimate_ls(h @ x_p, x_p)
+        else:
+            assert np.allclose(estimate_ls(h @ x_p, x_p), h, atol=1e-3)
 
     def test_unbiasedness(self):
         rng = np.random.default_rng(3)
@@ -131,7 +147,7 @@ class TestEmpiricalCorrelation:
         with pytest.raises(InvalidArgumentError, match="window"):
             EmLmmseState.initial(4, window=window)
         with pytest.raises(InvalidArgumentError, match="window"):
-            EmLmmseState(corr=np.eye(4), window=window)
+            EmLmmseState(factored=FactoredCorr.from_dense(np.eye(4)), window=window)
 
     def test_stays_hermitian_psd(self):
         rng = np.random.default_rng(7)
@@ -153,7 +169,7 @@ class TestEmpiricalCorrelation:
         rng = np.random.default_rng(9)
         r = analytic_freq_correlation(exponential_pdp(4, 2.0), 16)
         h_ls = rng.normal(size=16) + 1j * rng.normal(size=16)
-        state = EmLmmseState(corr=r, subframes_seen=500)
+        state = EmLmmseState(factored=FactoredCorr.from_dense(r), subframes_seen=500)
         assert np.allclose(
             estimate_em_lmmse(state, h_ls, 2.0, 10.0), estimate_lmmse(h_ls, r, 2.0, 10.0)
         )

@@ -68,6 +68,25 @@ class TestEqualizer:
         with pytest.raises(NumericalFailureError):
             equalize_lmmse(np.ones((2, 3), dtype=complex), h, 0.0, 10.0)
 
+    @pytest.mark.parametrize("cond", [1e11, 1e13])
+    def test_guard_at_its_edge(self, cond):
+        # A rank-one channel U diag(1, 0) V^H regularized by r = sigma^2/E_s:
+        # the system V diag(1 + r, r) V^H has condition number (1 + r)/r, on
+        # either side of the 1e12 limit.
+        rng = np.random.default_rng(5)
+        u, v = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                for _ in range(2))
+        h = u @ np.diag([1.0, 0.0]) @ v.conj().T
+        sigma2, sym_energy = 10.0 / (cond - 1.0), 10.0
+        a = h.conj().T @ h + (sigma2 / sym_energy) * np.eye(2)
+        assert np.linalg.cond(a) == pytest.approx(cond, rel=1e-2)
+        y = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        if cond > 1e12:
+            with pytest.raises(NumericalFailureError, match="ill-conditioned"):
+                equalize_lmmse(y, h, sigma2, sym_energy)
+        else:
+            assert np.all(np.isfinite(equalize_lmmse(y, h, sigma2, sym_energy)))
+
     def test_stacked_subcarriers(self):
         rng = np.random.default_rng(3)
         h = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))

@@ -94,7 +94,7 @@ def test_non_hermitian_prior_rejected_at_construction():
     r = np.eye(4, dtype=complex)
     r[0, 1] = 1.0
     with pytest.raises(InvalidArgumentError):
-        EmLmmseState(corr=r)
+        EmLmmseState(factored=FactoredCorr.from_dense(r))
 
 
 def test_sweep_builds_no_dense_correlation(monkeypatch):

@@ -20,10 +20,13 @@ from celab.errors import (
 from celab.estimators import estimate_ls
 from celab.evaluation import compute_mse
 from celab.signal_model import (
+    PilotPattern,
     SubframeSpec,
     build_constellation,
+    child_seeds,
     generate_transmit_grid,
     realify_channel_column,
+    realify_signal,
 )
 from celab.structnet import (
     IilKind,
@@ -534,6 +537,63 @@ class TestEstimateChannel:
             tracemalloc.stop()
         assert peak < 50e6
 
+    @staticmethod
+    def _captured_trainer(monkeypatch, y_p, x_p, cfg, seed):
+        """The trainer `estimate_channel_structnet` builds, left untrained."""
+        trainers = []
+        monkeypatch.setattr(structnet, "_train_in_parts",
+                            lambda trainer, n_epochs, n_parts: trainers.append(trainer))
+        estimate_channel_structnet(y_p, x_p, cfg, seed)
+        (trainer,) = trainers
+        return trainer
+
+    @pytest.mark.parametrize("pattern", list(PilotPattern))
+    @pytest.mark.parametrize("order", list(IilOrder))
+    @pytest.mark.parametrize("n_tx", [1, 2])
+    def test_batch_built_in_place_is_the_stacked_streams(self, monkeypatch, n_tx, order,
+                                                         pattern):
+        # The batch as it was composed before it was built in place: each
+        # stream initialized whole in float64, the streams concatenated, the
+        # channel layer's input formed on the batch, then all cast to float32.
+        spec = SubframeSpec(n_sc=8, n_tx=n_tx, n_pilot=n_tx, pilot_pattern=pattern)
+        y_p, x_p = self._pilots(spec, 42)
+        cfg = TrainConfig(epochs=1, iil_order=order)
+        got = self._captured_trainer(monkeypatch, y_p, x_p, cfg, 43)
+        h_ls = estimate_ls(y_p, x_p)
+        active = np.any(x_p != 0, axis=0)
+        streams = []
+        for i, seed in enumerate(child_seeds(43, 2 * n_tx)):
+            slots = np.flatnonzero(active[i % n_tx])
+            x = x_p[:, i % n_tx, slots]
+            y_real = realify_signal(np.transpose(y_p[:, :, slots], (0, 2, 1)))
+            labels, lam, samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
+            desired, interference, mlp = _init_stream(h_ls, i, cfg, np.random.default_rng(seed))
+            streams.append((desired, interference, *mlp, lam, samples))
+        anchor, interference, *mlp, lam, y = (np.concatenate(a) for a in zip(*streams))
+        want = _BatchTrainer(np.zeros_like(anchor), interference, mlp, labels, lam,
+                             structnet._channel_layer(y, lam, anchor), cfg, dtype=np.float32)
+        for name in structnet._PER_MODEL + ("labels",):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_batch_built_without_float64_staging(self, monkeypatch):
+        # 2x2 at 256 subcarriers: 1024 models.  Built in place, the batch
+        # takes the float32 trainer's bytes and at most one float64 weight
+        # draw besides; a float64 copy of the batch alone takes twice those.
+        import tracemalloc
+
+        y_p, x_p = self._pilots(SubframeSpec(n_sc=256), 44)
+        tracemalloc.start()
+        try:
+            trainer = self._captured_trainer(monkeypatch, y_p, x_p, TrainConfig(epochs=1), 45)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trainer.w1.shape[0] == 1024
+        trainer_bytes = sum(getattr(trainer, name).nbytes for name in structnet._PER_MODEL)
+        assert peak < 2 * trainer_bytes
+
 
 class TestTrainConfig:
     def test_validation(self):
@@ -685,6 +745,21 @@ class TestSharedForward:
         assert set(channel) == {"desired", "interference"}
         for name, g in {**mlp, **channel}.items():
             assert np.array_equal(g, full[name]), name
+
+
+class TestGradientBuffers:
+    @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
+    def test_bound_only_while_run_epochs_runs(self, kind):
+        tr = _batch_trainer(kind, 3, True)
+        tr.run_epochs(2)
+        assert tr._g is None and tr._wt is None
+        # Outside `run_epochs`, each call returns new arrays.
+        first, second = tr._grads(), tr._grads()
+        assert not any(np.shares_memory(first[name], second[name]) for name in ALL_WEIGHTS)
+        tr.desired[0, 0] = np.nan
+        with pytest.raises(TrainingDivergenceError, match="epoch 1$"):
+            tr.run_epochs(2)
+        assert tr._g is None and tr._wt is None
 
 
 class TestLoss:
