@@ -305,7 +305,7 @@ def _mlp(z, w1, b1, w2, b2, w3, b3, wt=None):
 
 def _sum_samples(x, out=None):
     """x (..., S, n) summed over its S samples in order, from +0 as numpy
-    sums, into `out` if given: the bits of `x.sum(axis=-2)`, at half its cost."""
+    sums, into `out` if given: the bits of `x.sum(axis=-2)`, at about half its cost."""
     total = np.add(x[..., 0, :], 0.0, out=out)
     for i in range(1, x.shape[-2]):
         total += x[..., i, :]
