@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `COND_LIMIT`."""
 
 
 class CelabError(Exception):
@@ -15,6 +15,10 @@ class GenerationFailureError(CelabError):
 
 class NumericalFailureError(CelabError):
     """A linear-algebra operation failed (singular or ill-conditioned system)."""
+
+
+# The largest condition number of a system that LS and the equalizer solve.
+COND_LIMIT = 1e12
 
 
 class TrainingDivergenceError(CelabError):

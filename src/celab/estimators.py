@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError
-
-_COND_LIMIT = 1e12
+from .errors import COND_LIMIT, InvalidArgumentError, NumericalFailureError
 
 
 def estimate_ls(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
@@ -37,7 +35,7 @@ def estimate_ls(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
     x_p = np.asarray(x_p, dtype=complex)
     gram = x_p @ np.conj(np.swapaxes(x_p, -1, -2))
     cond = np.linalg.cond(gram)
-    if not np.all(np.isfinite(cond)) or np.max(cond) > _COND_LIMIT:
+    if not np.all(np.isfinite(cond)) or np.max(cond) > COND_LIMIT:
         raise NumericalFailureError(
             f"pilot Gram matrix ill-conditioned (cond={np.max(cond):.3e})"
         )

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import COND_LIMIT, InvalidArgumentError, NumericalFailureError
 from .signal_model import Constellation
 
 
@@ -36,7 +36,7 @@ def equalize_lmmse(y: np.ndarray, h_hat: np.ndarray, sigma2: float,
     n_tx = gram.shape[-1]
     a = gram + (sigma2 / sym_energy) * np.eye(n_tx)
     cond = np.linalg.cond(a)
-    if not np.all(np.isfinite(cond)) or np.max(cond) > 1e12:
+    if not np.all(np.isfinite(cond)) or np.max(cond) > COND_LIMIT:
         raise NumericalFailureError("equalizer system singular or ill-conditioned")
     return np.linalg.solve(a, hh @ y)
 

@@ -142,15 +142,14 @@ PRESETS = {
 }
 
 # Config keys are the field names of SubframeSpec, TrainConfig and
-# ExperimentConfig, except these two; the fields in _FIXED take no key.
+# ExperimentConfig, except these two.
 _KEY_OF_FIELD = {"cp_len": "n_cp", "iil_kind": "iil"}
-_FIXED = frozenset({"eps_mod"})
 
 # {config key: (owning dataclass, field name, field type)}
 _KEYS = {_KEY_OF_FIELD.get(name, name): (owner, name, kind)
          for owner in (SubframeSpec, TrainConfig, ExperimentConfig)
          for name, kind in typing.get_type_hints(owner).items()
-         if name not in _FIXED and not is_dataclass(kind)}
+         if not is_dataclass(kind)}
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 

@@ -11,8 +11,8 @@ share one channel-layer and IIL forward.
 through the batched trainer, `_BatchTrainer`.  The batched code is the only
 implementation: one initializer (`_init_stream`, `_init_mlp`), one forward
 (`_modulo`, `_grid_tanh_sum`, `_mlp`) and one pilot-sample rule
-(`_binary_samples`).  `model_forward` runs one `StructNetModel` through it
-as a batch of one.
+(`_binary_samples`).  `model_forward` runs one `StructNetModel` (its weights)
+through it as a batch of one, with the IIL settings of a `TrainConfig`.
 
 Precision.  `estimate_channel_structnet` trains in float32 around a float64
 anchor, the LS estimate.  It builds the batch stream by stream, straight into
@@ -101,6 +101,9 @@ from .estimators import estimate_ls
 # learner (K = 2*N_t - 1 < B models, S, D >= 2) that is under half the cache.
 CACHE_BYTE_CAP = 1 << 29
 
+# The modulo IIL skips interference entries below this magnitude (quotient 0).
+EPS_MOD = 1e-6
+
 
 class IilKind(enum.Enum):
     SHIFTING = "shifting"
@@ -121,7 +124,6 @@ class TrainConfig:
     iil_window: int = 3  # m in [-window, window] for the shifting layer
     iil_order: IilOrder = IilOrder.DESCENDING_STRENGTH
     update_interference: bool = True
-    eps_mod: float = 1e-6
     n_h1: int = 16
     n_h2: int = 32
 
@@ -165,9 +167,6 @@ class StructNetModel:
     b2: np.ndarray
     w3: np.ndarray             # (2, n_h2)
     b3: np.ndarray
-    iil_kind: IilKind = IilKind.MODULO
-    iil_window: int = 3
-    eps_mod: float = 1e-6
 
 
 def _mlp_shapes(dim: int, cfg: TrainConfig) -> tuple:
@@ -394,7 +393,7 @@ class _BatchTrainer:
 
     def _iil_modulo(self, s):
         """Sequential modulo; returns (output, quotients (K, B, S, D))."""
-        return _modulo(s, self.interference, self.cfg.eps_mod)
+        return _modulo(s, self.interference, EPS_MOD)
 
     def _iil_shifting(self, s):
         """Sum over the shift grid; returns (output, per-chunk tanh arrays).
@@ -660,19 +659,17 @@ def _train_in_parts(trainer: _BatchTrainer, n_epochs: int, n_parts: int) -> None
         raise error
 
 
-def model_forward(model: StructNetModel, y_raw, shift: float) -> np.ndarray:
+def model_forward(model: StructNetModel, y_raw, shift: float, cfg=None) -> np.ndarray:
     """Full pipeline: channel layer -> IIL -> binary classifier probabilities,
-    run as a batch-of-one trainer with the model's IIL settings."""
+    run as a batch-of-one trainer with the IIL settings of `cfg` (or `TrainConfig()`)."""
     y = np.asarray(y_raw, dtype=float)
     rows = y.reshape(1, -1, y.shape[-1])
     if rows.shape[1] == 0:
         raise InvalidArgumentError("at least one received vector is required")
-    cfg = TrainConfig(iil_kind=model.iil_kind, iil_window=model.iil_window,
-                      eps_mod=model.eps_mod)
     trainer = _BatchTrainer(model.desired[None], model.interference[None],
                             tuple(getattr(model, name)[None] for name in _WEIGHTS[2:]),
                             np.ones(rows.shape[1]), np.full(rows.shape[:2], float(shift)),
-                            rows, cfg)
+                            rows, cfg or TrainConfig())
     _, _, p = trainer._mlp_forward(trainer._forward()[0])
     return p[0].reshape(y.shape[:-1] + (2,))
 

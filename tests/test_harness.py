@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -16,8 +16,8 @@ from celab.harness import (
     run_sweep,
     write_csv,
 )
-from celab.signal_model import PilotPattern
-from celab.structnet import IilKind, IilOrder
+from celab.signal_model import PilotPattern, SubframeSpec
+from celab.structnet import IilKind, IilOrder, TrainConfig
 
 
 def _write_config(tmp_path, text, name="exp.cfg"):
@@ -164,6 +164,14 @@ KEY_CASES = [
 class TestConfigKeys:
     def test_keys_are_exactly_these(self):
         assert sorted(harness._KEYS) == sorted(key for key, *_ in KEY_CASES)
+
+    def test_every_field_has_a_key(self):
+        keyed = {(owner, name) for owner, name, _ in harness._KEYS.values()}
+        assert [f"{owner.__name__}.{f.name}"
+                for owner in (SubframeSpec, TrainConfig, ExperimentConfig)
+                for f in fields(owner)
+                if not is_dataclass(getattr(owner(), f.name))
+                and (owner, f.name) not in keyed] == []
 
     @pytest.mark.parametrize("key, text, path, value", KEY_CASES,
                              ids=[case[0] for case in KEY_CASES])

@@ -24,6 +24,7 @@ from celab.signal_model import (
     SubframeSpec,
     build_constellation,
     child_seeds,
+    complexify_channel,
     generate_transmit_grid,
     realify_channel_column,
     realify_signal,
@@ -49,7 +50,7 @@ from celab.structnet import (
 )
 
 
-def _model(rng, n_rx=2, n_k=3, kind=IilKind.MODULO, n_h1=8, n_h2=8):
+def _model(rng, n_rx=2, n_k=3, n_h1=8, n_h2=8):
     d = 2 * n_rx
     return StructNetModel(
         desired=rng.normal(size=d),
@@ -60,7 +61,6 @@ def _model(rng, n_rx=2, n_k=3, kind=IilKind.MODULO, n_h1=8, n_h2=8):
         b2=np.zeros(n_h2),
         w3=rng.normal(0, 0.1, (2, n_h2)),
         b3=np.zeros(2),
-        iil_kind=kind,
     )
 
 
@@ -372,6 +372,26 @@ class TestDetectMultinomial:
         with pytest.raises(DegenerateRatioError):
             detect_multinomial(model, np.zeros(4), posterior=lambda z: (0.0, 1.0))
 
+    @pytest.mark.parametrize("cfg", [None, TrainConfig(iil_kind=IilKind.SHIFTING)],
+                             ids=["modulo", "shifting"])
+    def test_chain_over_model_forward(self, cfg):
+        # Without a posterior the chain runs on model_forward's, with the
+        # default IIL; the shifting IIL is passed in as a posterior.
+        rng = np.random.default_rng(14)
+        model, y = _model(rng), rng.normal(size=4)
+
+        def posterior(z):
+            return model_forward(model, z, 0.0, cfg)
+
+        p = detect_multinomial(model, y) if cfg is None else detect_multinomial(model, y, posterior)
+        q1, q2, q3 = (q[0] / q[1] for q in (posterior(y + shift * model.desired)
+                                             for shift in (2.0, 0.0, -2.0)))
+        want = np.array([q1 * q2 * q3, q2 * q3, q3, 1.0])
+        assert np.array_equal(p, want / want.sum())
+        assert p.sum() == pytest.approx(1.0)
+        if cfg is not None:
+            assert not np.array_equal(p, detect_multinomial(model, y))
+
 
 class TestEstimateChannel:
     def test_zero_epochs_is_ls(self):
@@ -418,9 +438,10 @@ class TestEstimateChannel:
         b = estimate_channel_structnet(y[:, :, :2], grid.pilots, cfg, 99)
         assert np.array_equal(a, b)
 
-    def test_float32_change_agrees_with_float64(self, monkeypatch):
+    def test_float32_change_agrees_with_float64(self):
         # The learner trains in float32 around the float64 LS anchor; its
-        # change from LS must follow the same training run in float64.
+        # change from LS must follow the same training run in float64, from
+        # float64 start values.
         spec = SubframeSpec(n_sc=16)
         const = build_constellation(16)
         ss = np.random.SeedSequence(14).spawn(3)
@@ -431,12 +452,12 @@ class TestEstimateChannel:
         cfg = TrainConfig(epochs=200)
         delta32 = estimate_channel_structnet(y_p, grid.pilots, cfg, 5) - h_ls
 
-        class Float64Trainer(_BatchTrainer):
-            def __init__(self, *args, dtype=None, **kwargs):
-                super().__init__(*args, dtype=np.float64, **kwargs)
-
-        monkeypatch.setattr(structnet, "_BatchTrainer", Float64Trainer)
-        delta64 = estimate_channel_structnet(y_p, grid.pilots, cfg, 5) - h_ls
+        labels, anchor, interference, mlp, lam, y = self._stacked_streams(
+            y_p, grid.pilots, cfg, 5)
+        reference = _BatchTrainer(np.zeros_like(anchor), interference, mlp, labels, lam, y, cfg)
+        reference.run_epochs(cfg.epochs)
+        delta64 = complexify_channel([reference.desired[i * spec.n_sc:(i + 1) * spec.n_sc]
+                                      for i in range(2 * spec.n_tx)])
         assert np.linalg.norm(delta64) > 1e-3 * np.linalg.norm(h_ls)
         assert np.linalg.norm(delta32 - delta64) <= 0.02 * np.linalg.norm(delta64)
 
@@ -451,7 +472,8 @@ class TestEstimateChannel:
 
         monkeypatch.setattr(_BatchTrainer, "__init__", record)
         rng = np.random.default_rng(36)
-        p = model_forward(_model(rng, kind=IilKind.SHIFTING), rng.normal(size=(3, 4)), 1.0)
+        p = model_forward(_model(rng), rng.normal(size=(3, 4)), 1.0,
+                          TrainConfig(iil_kind=IilKind.SHIFTING))
         assert p.shape == (3, 2) and p.dtype == np.float64
         (trainer,) = trainers
         for name in ALL_WEIGHTS + ("lam", "y", "grid"):
@@ -547,31 +569,40 @@ class TestEstimateChannel:
         (trainer,) = trainers
         return trainer
 
+    @staticmethod
+    def _stacked_streams(y_p, x_p, cfg, seed):
+        """The batch as it was composed before it was built in place, in
+        float64: each stream initialized whole, the streams concatenated and
+        the channel layer's input formed on the batch.  Returns (labels,
+        anchor, interference, MLP weights, lam, channel-layer input)."""
+        n_tx = x_p.shape[1]
+        h_ls = estimate_ls(y_p, x_p)
+        active = np.any(x_p != 0, axis=0)
+        streams = []
+        for i, stream_seed in enumerate(child_seeds(seed, 2 * n_tx)):
+            slots = np.flatnonzero(active[i % n_tx])
+            x = x_p[:, i % n_tx, slots]
+            y_real = realify_signal(np.transpose(y_p[:, :, slots], (0, 2, 1)))
+            labels, lam, samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
+            desired, interference, mlp = _init_stream(h_ls, i, cfg,
+                                                      np.random.default_rng(stream_seed))
+            streams.append((desired, interference, *mlp, lam, samples))
+        anchor, interference, *mlp, lam, y = (np.concatenate(a) for a in zip(*streams))
+        return labels, anchor, interference, mlp, lam, structnet._channel_layer(y, lam, anchor)
+
     @pytest.mark.parametrize("pattern", list(PilotPattern))
     @pytest.mark.parametrize("order", list(IilOrder))
     @pytest.mark.parametrize("n_tx", [1, 2])
     def test_batch_built_in_place_is_the_stacked_streams(self, monkeypatch, n_tx, order,
                                                          pattern):
-        # The batch as it was composed before it was built in place: each
-        # stream initialized whole in float64, the streams concatenated, the
-        # channel layer's input formed on the batch, then all cast to float32.
+        # The batch built in place is the stacked streams cast to float32.
         spec = SubframeSpec(n_sc=8, n_tx=n_tx, n_pilot=n_tx, pilot_pattern=pattern)
         y_p, x_p = self._pilots(spec, 42)
         cfg = TrainConfig(epochs=1, iil_order=order)
         got = self._captured_trainer(monkeypatch, y_p, x_p, cfg, 43)
-        h_ls = estimate_ls(y_p, x_p)
-        active = np.any(x_p != 0, axis=0)
-        streams = []
-        for i, seed in enumerate(child_seeds(43, 2 * n_tx)):
-            slots = np.flatnonzero(active[i % n_tx])
-            x = x_p[:, i % n_tx, slots]
-            y_real = realify_signal(np.transpose(y_p[:, :, slots], (0, 2, 1)))
-            labels, lam, samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
-            desired, interference, mlp = _init_stream(h_ls, i, cfg, np.random.default_rng(seed))
-            streams.append((desired, interference, *mlp, lam, samples))
-        anchor, interference, *mlp, lam, y = (np.concatenate(a) for a in zip(*streams))
-        want = _BatchTrainer(np.zeros_like(anchor), interference, mlp, labels, lam,
-                             structnet._channel_layer(y, lam, anchor), cfg, dtype=np.float32)
+        labels, anchor, interference, mlp, lam, y = self._stacked_streams(y_p, x_p, cfg, 43)
+        want = _BatchTrainer(np.zeros_like(anchor), interference, mlp, labels, lam, y, cfg,
+                             dtype=np.float32)
         for name in structnet._PER_MODEL + ("labels",):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
@@ -714,7 +745,7 @@ class TestSharedForward:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_masked_modulo_entry_under_training(self, dtype):
-        # One entry below eps_mod; every other is at least 0.3 in magnitude.
+        # One entry below EPS_MOD; every other is at least 0.3 in magnitude.
         def mask_one(tr):
             tr.interference[1, 2, 3] = 1e-9
 
