@@ -15,13 +15,15 @@ implementation: one initializer (`_init_stream`, `_init_mlp`), one forward
 through it as a batch of one, with the IIL settings of a `TrainConfig`.
 
 Precision.  `estimate_channel_structnet` trains in float32 around a float64
-anchor, the LS estimate.  It builds the batch stream by stream, straight into
-the trainer's float32 arrays; only the anchor and the channel layer's input
-at it, y + lambda * h_LS, are formed in float64.  The desired weights hold
-the change from h_LS (starting at 0), and the estimate h_LS + change is
-summed in float64, so zero epochs return LS exactly.  The trainer's default
-stays float64, as does `model_forward`: their gradients and outputs are
-checked against finite differences and to 1e-9, which float32 would swamp.
+anchor, the LS estimate.  Each part of the batch is built stream by stream,
+straight into its trainer's float32 arrays (`_Batch.rows`); only the anchor
+and the channel layer's input at it, y + lambda * h_LS, are formed in
+float64.  The desired weights hold the change from h_LS (starting at 0); a
+part returns that float32 change alone, and the caller sums the estimate
+h_LS + change in float64, so zero epochs return LS exactly.  The trainer's
+default stays float64, as does `model_forward`: their gradients and outputs
+are checked against finite differences and to 1e-9, which float32 would
+swamp.
 
 No structure across subcarriers enters the learner: batching shares no
 weight, gradient or sample between subcarriers, so each model sees only its
@@ -32,14 +34,23 @@ so every training sample is a noise-free function of that estimate.
 Parallel parts.  Since no model shares anything with another, the batch
 trains as contiguous parts along the model axis, one per core
 (`_train_in_parts`): the first in the caller, each other in a worker
-process of its own.  Each part is a view of the one `_BatchTrainer` built
-for the whole batch (`_BatchTrainer.part`).  The caller sends a worker the
-part's attributes through a pipe; the worker trains its copy and replies
-with the trained weights, which the caller copies into the batch's arrays.
-The numbers are bit for bit those of the whole batch in one process.  A
-batch splits only when each part keeps at least one model and `_PART_WORK`
-(model, sample, shift-grid point, epoch) units (`_n_parts`), since the pipe
-costs time on every call.  `harness.bench_iil` trains in one part.
+process of its own.  No process holds the whole batch.  The caller sends a
+worker, through a pipe, the subframe's inputs (`_Batch`: pilots, LS
+estimate, config and stream seeds, ~200 KB at 1024 subcarriers) and the
+part's model range; the worker builds those rows, trains them and replies
+with their desired weights, which the caller gathers.  A part that cuts a
+stream draws that stream's MLP weights from its seed up to the part's end
+and keeps its own rows, so the numbers are bit for bit those of the whole
+batch in one process.  A batch splits only when each part keeps at least one
+model and `_PART_WORK` (model, sample, shift-grid point, epoch) units
+(`_n_parts`), since a split call costs time.  `harness.bench_iil` trains in
+one part.
+
+Blocks.  `run_epochs` trains `_BLOCK` = 256 models at a time, all epochs per
+block, so a block's gradients, weight copies and activations stay in the
+core's cache: 20 float32 modulo epochs of a 2048-model part took 9.0-10.0 ms
+per epoch in blocks of 256, 9.2-11.0 in blocks of 512 and 13.5-14.8 whole
+(one BLAS thread, one and two processes at once, 2 MB L2 per core).
 
 Processes, not threads.  An epoch is ~100 numpy calls of 2-70 us each, and
 the GIL changes hands at every call: two threads training the 64-subcarrier
@@ -50,15 +61,17 @@ one.  Two processes each keep their solo speed.
 Lifecycle.  Workers are forked (`os.fork`) at the first call that splits,
 one per part but the caller's, and serve later calls, which fork only the
 workers they lack: forking, exiting and reaping a worker on every call took
-~4 ms in a 35-50 MB caller.  `_close_workers` ends them and waits for them,
-and runs at interpreter exit.  A worker never returns into the caller's
-code: it ends with `os._exit`, so no `atexit` hook or test finalizer runs
-in it.  It ignores SIGINT, which is the caller's to handle, and exits by
-itself on EOF from its pipe, whose other end only the caller holds, when
-the caller dies without ending it.  A process forked from the caller does
-not inherit its workers.  Fork, not spawn: a worker starts in ~1 ms with the
-lab imported and inherits the caller's code as it stands, monkeypatches
-included.  Without `os.fork` the batch trains in one part.
+~4 ms in a 35-50 MB caller.  A worker keeps nothing between calls: each
+part it builds is dropped once its reply is sent.  `_close_workers` ends
+the workers and waits for them, and runs at interpreter exit.  A worker
+never returns into the caller's code: it ends with `os._exit`, so no
+`atexit` hook or test finalizer runs in it.  It ignores SIGINT, which is
+the caller's to handle, and exits by itself on EOF from its pipe, whose
+other end only the caller holds, when the caller dies without ending it.
+A process forked from the caller does not inherit its workers.  Fork, not
+spawn: a worker starts in ~1 ms with the lab imported and inherits the
+caller's code as it stands, monkeypatches included.  Without `os.fork` the
+batch trains in one part.
 
 BLAS calls.  A part makes only per-model BLAS calls: every matmul is a
 stack of one small product per model.  The largest, the shifting layer's
@@ -70,7 +83,9 @@ layers multiply by w1 and w2 as contiguous (B, in, out) copies, which
 `run_epochs` refreshes after each classifier step: for 128 float32 models,
 z @ w1.T and a1 @ w2.T took 20 and 40 us on `swapaxes` views against 7 and
 13 us on copies, in the same bits (OpenBLAS 0.3.31; feature-major w @ x.T
-was slower, and not bit-identical in float64).  w3's view and the weight
+was slower, and not bit-identical in float64).  With the refresh counted,
+in blocks of 256, `run_epochs` on a view of w2 took 1.04-1.11x the time on
+copies, and on views of both 1.11-1.34x.  w3's view and the weight
 gradients' transposed first operands are as fast as copies, or faster.
 """
 
@@ -144,10 +159,15 @@ class TrainConfig:
 # 1.35-1.42x at 5120 units per part (256 models, 10 epochs), 1.44-1.57x at
 # 10240 and 1.58-1.67x at 20480; shifting (343 grid points) 0.64-1.02x at 43904
 # (32 models, 2 epochs), 0.99-1.23x at 175616 (8 epochs) and 1.51x at 351232
-# (64 models).  A call that splits costs more, mostly for pickling the parts'
-# arrays both ways through the pipes: 0.5-0.6 ms at 32 models, 1.1-1.7 ms at
-# 256 and 21-30 ms at 4096 (medians of 200-300 zero-epoch calls in two parts).
+# (64 models).  A call that splits pickles the subframe's inputs to each
+# worker and the parts' desired weights back, and builds each part where it
+# trains: with the build counted, zero-epoch calls in two parts took +0.4 ms at
+# 32 models, -2.0 ms at 256 and -27 ms at 4096 against one (medians of 40).
 _PART_WORK = 8192
+
+# Models `_BatchTrainer.run_epochs` trains at a time (module docstring,
+# "Blocks"); also the rows of one MLP weight drawn at a time (`_init_mlp`).
+_BLOCK = 256
 
 # Weight names of a model, in StructNetModel and _BatchTrainer alike.
 _WEIGHTS = ("desired", "interference", "w1", "b1", "w2", "b2", "w3", "b3")
@@ -169,40 +189,68 @@ class StructNetModel:
     b3: np.ndarray
 
 
+def _check_cache(cfg: TrainConfig, n_interferers: int, n_inputs: int, itemsize: int) -> None:
+    """Raise `ResourceLimitError` when the shifting IIL's backward cache over
+    n_inputs layer inputs (model, sample and real dimension) would exceed
+    `CACHE_BYTE_CAP`; checked before the shift grid is built, since its size
+    alone can be large."""
+    if cfg.iil_kind is IilKind.SHIFTING:
+        cache_bytes = (2 * cfg.iil_window + 1) ** n_interferers * n_inputs * itemsize
+        if cache_bytes > CACHE_BYTE_CAP:
+            raise ResourceLimitError(
+                f"shifting IIL cache of {cache_bytes} bytes exceeds cap {CACHE_BYTE_CAP}")
+
+
 def _mlp_shapes(dim: int, cfg: TrainConfig) -> tuple:
     """One model's (w1, b1, w2, b2, w3, b3) shapes, for D = dim inputs."""
     return (cfg.n_h1, dim), (cfg.n_h1,), (cfg.n_h2, cfg.n_h1), (cfg.n_h2,), (2, cfg.n_h2), (2,)
 
 
-def _init_mlp(rng, n_models: int, dim: int, cfg: TrainConfig, out=None) -> tuple:
-    """MLP weights (w1, b1, w2, b2, w3, b3) of n_models classifiers:
-    weights N(0, 0.1), drawn in the order w1, w2, w3; biases 0.  Written
-    into `out`, six arrays of any float dtype, if it is given."""
+def _init_mlp(rng, n_models: int, dim: int, cfg: TrainConfig, out=None, lo=0, hi=None) -> tuple:
+    """MLP weights (w1, b1, w2, b2, w3, b3) of models [lo, hi) out of n_models
+    classifiers (hi defaults to n_models): weights N(0, 0.1), drawn for all
+    n_models in the order w1, w2, w3; biases 0.  Written into `out`, six
+    arrays of any float dtype with hi - lo rows, or new float64 arrays.
+
+    Each weight is drawn `_BLOCK` models at a time, in the bits of one draw
+    of the whole weight; the rows outside [lo, hi) are drawn and dropped
+    (w3's after hi are not drawn), so a range gets the draws it would get
+    as part of the whole."""
+    hi = n_models if hi is None else hi
     if out is None:
-        out = tuple(np.empty((n_models,) + shape) for shape in _mlp_shapes(dim, cfg))
-    for w, b in zip(out[::2], out[1::2]):
-        w[...] = rng.normal(0.0, 0.1, w.shape)
+        out = tuple(np.empty((hi - lo,) + shape) for shape in _mlp_shapes(dim, cfg))
+    for k, (w, b) in enumerate(zip(out[::2], out[1::2])):
+        for start in range(0, hi if k == 2 else n_models, _BLOCK):
+            draw = rng.normal(0.0, 0.1, (min(_BLOCK, n_models - start),) + w.shape[1:])
+            first, end = max(start, lo), min(start + len(draw), hi)
+            if first < end:
+                w[first - lo:end - lo] = draw[first - start:end - start]
         b[...] = 0.0
     return out
 
 
-def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng, mlp_out=None):
-    """Initial weights of one realized stream's models, one per subcarrier.
+def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng, mlp_out=None, lo=0, hi=None):
+    """Initial weights of one realized stream's models [lo, hi), one per
+    subcarrier (hi defaults to n_sc).
 
-    h_ls is (n_sc, N_r, N_t).  Returns (desired (n_sc, D), interference
-    (n_sc, K, D), MLP weights), D = 2*N_r, K = 2*N_t - 1.  The desired weights
-    are the stream's realified channel column; the interference weights are
-    the other realized streams' columns, ordered per cfg.iil_order on each
-    subcarrier separately.  The MLP weights go into `mlp_out` if it is given.
+    h_ls is (n_sc, N_r, N_t).  Returns (desired (hi - lo, D), interference
+    (hi - lo, K, D), MLP weights), D = 2*N_r, K = 2*N_t - 1.  The desired
+    weights are the stream's realified channel column; the interference
+    weights are the other realized streams' columns, ordered per
+    cfg.iil_order on each subcarrier separately.  The MLP weights are those
+    of the range among the stream's n_sc models (`_init_mlp`), written into
+    `mlp_out` if it is given.
     """
     n_sc, n_rx, n_tx = h_ls.shape
-    desired = realify_channel_column(h_ls[:, :, stream % n_tx], stream, n_tx)
-    interference = np.stack([realify_channel_column(h_ls[:, :, j % n_tx], j, n_tx)
+    hi = n_sc if hi is None else hi
+    h = h_ls[lo:hi]
+    desired = realify_channel_column(h[:, :, stream % n_tx], stream, n_tx)
+    interference = np.stack([realify_channel_column(h[:, :, j % n_tx], j, n_tx)
                              for j in range(2 * n_tx) if j != stream], axis=1)
     if cfg.iil_order is IilOrder.DESCENDING_STRENGTH:
         order = np.argsort(-np.sum(interference**2, axis=2), axis=1, kind="stable")
         interference = np.take_along_axis(interference, order[:, :, None], axis=1)
-    return desired, interference, _init_mlp(rng, n_sc, 2 * n_rx, cfg, mlp_out)
+    return desired, interference, _init_mlp(rng, n_sc, 2 * n_rx, cfg, mlp_out, lo, hi)
 
 
 def _channel_layer(y, lam, h):
@@ -366,15 +414,10 @@ class _BatchTrainer:
         self.lam = np.ascontiguousarray(lam, dtype=dtype)               # (B, S)
         self.y = np.ascontiguousarray(y, dtype=dtype)                   # (B, S, D)
         self.n_samples = self.y.shape[1]
-        self._wt = None  # `_mlp`'s wt while `run_epochs` runs
-        self._g = None  # `_grads`'s MLP gradient arrays while `run_epochs` runs
+        self._wt = None  # `_mlp`'s wt while a block of `run_epochs` trains
+        self._g = None  # `_grads`'s MLP gradient arrays while a block of `run_epochs` trains
+        _check_cache(cfg, self.interference.shape[1], self.y.size, self.y.itemsize)
         if cfg.iil_kind is IilKind.SHIFTING:
-            # Checked before the grid is built: its size alone can be large.
-            n_points = (2 * cfg.iil_window + 1) ** self.interference.shape[1]
-            cache_bytes = n_points * self.y.size * self.y.itemsize
-            if cache_bytes > CACHE_BYTE_CAP:
-                raise ResourceLimitError(
-                    f"shifting IIL cache of {cache_bytes} bytes exceeds cap {CACHE_BYTE_CAP}")
             self.grid = shift_grid(self.interference.shape[1], cfg.iil_window).astype(dtype)
 
     def part(self, lo: int, hi: int) -> "_BatchTrainer":
@@ -482,15 +525,25 @@ class _BatchTrainer:
         return g
 
     def run_epochs(self, n_epochs: int, stop=None) -> None:
-        """Alternation: one classifier step, then one channel step, per epoch.
+        """Alternation: one classifier step, then one channel step, per epoch,
+        in blocks of `_BLOCK` models: each block (a `part` view, so its
+        updates write through) trains all n_epochs before the next starts.
 
         The classifier step leaves the channel weights as they are, so both
         steps share one channel-layer and IIL forward.  An epoch that leaves
-        a channel weight non-finite raises `TrainingDivergenceError`; a NaN
-        in an MLP weight reaches the channel weights through the same
-        epoch's channel step.  Training ends early, before the next epoch,
-        once the byte `stop[0]` is nonzero.
+        a channel weight non-finite raises `TrainingDivergenceError`, naming
+        the block's epoch; a NaN in an MLP weight reaches the channel weights
+        through the same epoch's channel step.  A later block's divergence is
+        found only after the earlier blocks have finished, as
+        `_train_in_parts` raises a part's only once every part has ended.
+        Training ends early, before the next epoch, once the byte `stop[0]`
+        is nonzero.
         """
+        for lo in range(0, self.y.shape[0], _BLOCK):
+            self.part(lo, lo + _BLOCK)._run_block(n_epochs, stop)
+
+    def _run_block(self, n_epochs: int, stop) -> None:
+        """`run_epochs` on one block, with its MLP buffers bound meanwhile."""
         cfg = self.cfg
         # w1 and w2 transposed for the forward, and the one set of MLP gradients.
         self._wt = (_transposed(self.w1), _transposed(self.w2))
@@ -525,36 +578,105 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _n_parts(trainer: _BatchTrainer) -> int:
-    """Parts to train the batch in for `trainer.cfg.epochs` epochs: one per
+@dataclass
+class _Batch:
+    """One subframe's learner batch, held as its inputs: every (subcarrier,
+    stream) model, streams stacked along the model axis, so stream i owns
+    models [i*n_sc, (i+1)*n_sc).  A range of models is built from these
+    alone (`rows`), so each process builds only the part it trains."""
+
+    y_p: np.ndarray    # (n_sc, N_r, N_p) received pilots
+    x_p: np.ndarray    # (n_sc, N_t, N_p) pilot symbols
+    h_ls: np.ndarray   # (n_sc, N_r, N_t) the LS anchor
+    cfg: TrainConfig
+    seeds: list        # one seed per realized stream
+
+    @property
+    def active(self) -> np.ndarray:
+        """(N_t, N_p): whether each antenna transmits in each pilot slot."""
+        return np.any(self.x_p != 0, axis=0)
+
+    @property
+    def n_models(self) -> int:
+        return 2 * self.x_p.shape[1] * self.x_p.shape[0]
+
+    @property
+    def n_samples(self) -> int:
+        return 2 * int(np.count_nonzero(self.active[0]))
+
+    def anchor(self) -> np.ndarray:
+        """Every model's desired weights at the LS estimate, (n_models, D) float64."""
+        n_tx = self.x_p.shape[1]
+        return np.concatenate([realify_channel_column(self.h_ls[:, :, i % n_tx], i, n_tx)
+                               for i in range(2 * n_tx)])
+
+    def rows(self, lo: int, hi: int) -> _BatchTrainer:
+        """Models [lo, hi) as a float32 trainer, built stream by stream
+        straight into its arrays.  Their desired weights hold the change from
+        the anchor, 0; only the anchor and the channel layer's input at it,
+        y + lambda * anchor, are formed in float64.  A stream that the range
+        cuts still gets its own draws (`_init_stream`)."""
+        n_sc, n_tx = self.x_p.shape[:2]
+        dim, f32, active = 2 * self.y_p.shape[1], np.float32, self.active
+        interference = np.empty((hi - lo, 2 * n_tx - 1, dim), f32)
+        mlp = tuple(np.empty((hi - lo,) + shape, f32) for shape in _mlp_shapes(dim, self.cfg))
+        lam = np.empty((hi - lo, self.n_samples), f32)
+        y = np.empty(lam.shape + (dim,), f32)
+        for i in range(2 * n_tx):
+            # Subcarriers [a, b) of stream i fall in the range, as these rows.
+            a, b = max(lo - i * n_sc, 0), min(hi - i * n_sc, n_sc)
+            if a >= b:
+                continue
+            rows = slice(i * n_sc + a - lo, i * n_sc + b - lo)
+            slots = np.flatnonzero(active[i % n_tx])
+            x = self.x_p[a:b, i % n_tx, slots]
+            y_real = realify_signal(np.transpose(self.y_p[a:b, :, slots], (0, 2, 1)))  # (b-a, P, D)
+            _, lam_i, y_samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
+            anchor, interference[rows], _ = _init_stream(
+                self.h_ls, i, self.cfg, np.random.default_rng(self.seeds[i]),
+                [w[rows] for w in mlp], a, b)
+            lam[rows] = lam_i
+            y[rows] = _channel_layer(y_samples, lam_i, anchor)
+        labels = np.tile([1, 0], lam.shape[1] // 2)  # `_binary_samples`' classes, every stream's
+        return _BatchTrainer(np.zeros((hi - lo, dim), f32), interference, mlp, labels, lam, y,
+                             self.cfg, dtype=f32)
+
+    def train(self, lo: int, hi: int, stop=None) -> np.ndarray:
+        """Build models [lo, hi), train them for cfg.epochs epochs and return
+        their desired weights: the change from the anchor, (hi - lo, D) float32."""
+        trainer = self.rows(lo, hi)
+        trainer.run_epochs(self.cfg.epochs, stop)
+        return trainer.desired
+
+
+def _n_parts(batch: _Batch) -> int:
+    """Parts to train the batch in for `batch.cfg.epochs` epochs: one per
     core, as long as each keeps `_PART_WORK` (model, sample, shift-grid
     point, epoch) units and at least one model.  Without `os.fork` the batch
     trains in one part."""
     if not hasattr(os, "fork"):
         return 1
-    n_models = trainer.y.shape[0]
-    grid = trainer.grid.shape[0] if trainer.cfg.iil_kind is IilKind.SHIFTING else 1
-    work = n_models * trainer.n_samples * grid * trainer.cfg.epochs
-    return max(1, min(_cores(), work // _PART_WORK, n_models))
+    cfg = batch.cfg
+    n_interferers = 2 * batch.x_p.shape[1] - 1
+    grid = (2 * cfg.iil_window + 1) ** n_interferers if cfg.iil_kind is IilKind.SHIFTING else 1
+    work = batch.n_models * batch.n_samples * grid * cfg.epochs
+    return max(1, min(_cores(), work // _PART_WORK, batch.n_models))
 
 
 def _serve(conn, stop: mmap.mmap) -> None:
-    """A worker's loop: train each part received as a `_BatchTrainer`'s
-    attributes, and reply with its trained weights (in `_WEIGHTS` order) or
-    with the exception the part raised.  Returns once every copy of the
-    caller's end of the connection is closed, as when the caller dies."""
+    """A worker's loop: build and train each part received as (batch, lo,
+    hi), and reply with its desired weights (`_Batch.train`) or with the
+    exception the part raised.  Returns once every copy of the caller's end
+    of the connection is closed, as when the caller dies."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # `_Workers.close` ends the process
     while True:
         try:
-            state, n_epochs = conn.recv()
+            batch, lo, hi = conn.recv()
         except EOFError:
             return
-        part = object.__new__(_BatchTrainer)
-        vars(part).update(state)
         try:
-            part.run_epochs(n_epochs, stop)
-            reply = tuple(getattr(part, name) for name in _WEIGHTS)
+            reply = batch.train(lo, hi, stop)
         except BaseException as exc:  # sent to the caller, which raises it
             stop[0] = 1
             reply = exc
@@ -618,45 +740,43 @@ def _close_workers() -> None:
 atexit.register(_close_workers)
 
 
-def _train_in_parts(trainer: _BatchTrainer, n_epochs: int, n_parts: int) -> None:
+def _train_in_parts(batch: _Batch, n_parts: int) -> np.ndarray:
     """Train the batch as n_parts contiguous parts along the model axis: the
-    first in the caller, each other in a worker process of its own.  The
-    trainer's arrays end up bit for bit as after training the whole batch in
-    the caller.
+    first in the caller, each other in a worker process of its own, each
+    built where it trains (`batch.train`).  Returns every model's trained
+    desired weights, (n_models, D), bit for bit those of the whole batch
+    trained in the caller.
 
     An exception raised in any part is raised here, once every part has
     ended; the other parts stop before their next epoch.
     """
     if n_parts == 1:
-        trainer.run_epochs(n_epochs)
-        return
-    bounds = [trainer.y.shape[0] * i // n_parts for i in range(n_parts + 1)]
-    caller_part, *parts = (trainer.part(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
-    error = None
+        return batch.train(0, batch.n_models)
+    bounds = [batch.n_models * i // n_parts for i in range(n_parts + 1)]
+    changes, error = [], None  # the parts' desired weights, in model order
     with _WORKERS.lock:
         try:
-            conns = _WORKERS.start(len(parts))
+            conns = _WORKERS.start(n_parts - 1)
             _WORKERS.stop[0] = 0
-            for conn, part in zip(conns, parts):
-                # Its attributes, not the part: a subclass local to a function does not pickle.
-                conn.send((vars(part), n_epochs))
+            for conn, lo, hi in zip(conns, bounds[1:], bounds[2:]):
+                conn.send((batch, lo, hi))
             try:
-                caller_part.run_epochs(n_epochs, _WORKERS.stop)
+                changes.append(batch.train(0, bounds[1], _WORKERS.stop))
             except BaseException as exc:  # raised below, once every part has ended
                 _WORKERS.stop[0] = 1
                 error = exc
-            for conn, part in zip(conns, parts):
+            for conn in conns:
                 reply = conn.recv()  # always read: an unread reply would answer the next call
                 if isinstance(reply, BaseException):
                     error = error or reply
                 else:
-                    for name, trained in zip(_WEIGHTS, reply):
-                        getattr(part, name)[...] = trained
+                    changes.append(reply)
         except BaseException:
             _WORKERS.close()  # replies may still be on their way
             raise
     if error is not None:
         raise error
+    return np.concatenate(changes)
 
 
 def model_forward(model: StructNetModel, y_raw, shift: float, cfg=None) -> np.ndarray:
@@ -717,43 +837,21 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed, h_ls=None) -> n
     n_tx = x_p.shape[1]
     if h_ls is None:
         h_ls = estimate_ls(y_p, x_p)       # (n_sc, N_r, N_t)
-    seeds = child_seeds(seed, 2 * n_tx)
+    batch = _Batch(y_p, x_p, np.asarray(h_ls, dtype=complex), cfg, child_seeds(seed, 2 * n_tx))
 
     # All streams share sample count only when their antennas are active on
     # the same number of pilot slots (always true for both pilot patterns),
     # so every (subcarrier, stream) model trains in one batched pass.
-    active = np.any(x_p != 0, axis=0)      # (N_t, N_p)
-    n_slots = active.sum(axis=1)
+    n_slots = batch.active.sum(axis=1)
     odd = np.flatnonzero((n_slots == 0) | (n_slots != n_slots[0]))
     if odd.size and n_slots[odd[0]] == 0:
         raise InvalidArgumentError(f"antenna {odd[0]} transmits no pilot symbol")
     if odd.size:
         raise InvalidArgumentError("antennas differ in active pilot slot count")
+    # Checked for the whole batch before any part is built, in float32.
+    _check_cache(cfg, 2 * n_tx - 1, batch.n_models * batch.n_samples * 2 * y_p.shape[1], 4)
 
-    # Streams stacked along the batch axis: stream i owns models [i*n_sc, (i+1)*n_sc).
-    # Its draws go straight into its rows of the trainer's float32 arrays; the
-    # anchor and the channel layer's input at the anchor are formed in float64.
-    n_models, dim, f32 = 2 * n_tx * n_sc, 2 * y_p.shape[1], np.float32
-    anchor = np.empty((n_models, dim))
-    interference = np.empty((n_models, 2 * n_tx - 1, dim), f32)
-    mlp = tuple(np.empty((n_models,) + shape, f32) for shape in _mlp_shapes(dim, cfg))
-    lam = np.empty((n_models, 2 * n_slots[0]), f32)
-    y = np.empty(lam.shape + (dim,), f32)
-    for i in range(2 * n_tx):
-        rows = slice(i * n_sc, (i + 1) * n_sc)
-        slots = np.flatnonzero(active[i % n_tx])
-        x = x_p[:, i % n_tx, slots]
-        y_real = realify_signal(np.transpose(y_p[:, :, slots], (0, 2, 1)))  # (n_sc, P, D)
-        classes, lam_i, y_samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
-        anchor[rows], interference[rows], _ = _init_stream(
-            h_ls, i, cfg, np.random.default_rng(seeds[i]), [w[rows] for w in mlp])
-        lam[rows] = lam_i
-        y[rows] = _channel_layer(y_samples, lam_i, anchor[rows])
-    trainer = _BatchTrainer(np.zeros_like(anchor, f32), interference, mlp, classes, lam, y,
-                            cfg, dtype=f32)
-    if cfg.epochs > 0:
-        _train_in_parts(trainer, cfg.epochs, _n_parts(trainer))
-
-    # (n_sc, N_r, N_t) from the 2*N_t per-stream weight sets.
-    desired = anchor + trainer.desired
+    # (n_sc, N_r, N_t) from the 2*N_t per-stream weight sets, anchor + change.
+    change = _train_in_parts(batch, _n_parts(batch)) if cfg.epochs > 0 else 0.0
+    desired = batch.anchor() + change
     return complexify_channel([desired[i * n_sc:(i + 1) * n_sc] for i in range(2 * n_tx)])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,19 @@ class TestInitModel:
         _, _, b = _init_stream(h_ls, 0, TrainConfig(), np.random.default_rng(3))
         assert len(a) == len(b) == 6
         assert all(np.array_equal(wa, wb) for wa, wb in zip(a, b))
+
+    def test_drawn_in_blocks_as_one_draw(self, monkeypatch):
+        # 7 models drawn 3 at a time: each weight holds what one N(0, 0.1)
+        # draw of it gives, in the order w1, w2, w3, and a range its rows.
+        monkeypatch.setattr(structnet, "_BLOCK", 3)
+        cfg = TrainConfig(n_h1=5, n_h2=6)
+        rng = np.random.default_rng(38)
+        want = [rng.normal(0.0, 0.1, (7,) + shape) for shape in ((5, 4), (6, 5), (2, 6))]
+        for lo, hi in ((0, 7), (2, 5), (4, 7), (0, 1), (3, 3)):
+            got = _init_mlp(np.random.default_rng(38), 7, 4, cfg, lo=lo, hi=hi)
+            for w, v in zip(got[::2], want):
+                assert w.tobytes() == v[lo:hi].tobytes(), (lo, hi)
+            assert all(b.shape[0] == hi - lo and not b.any() for b in got[1::2])
 
     @pytest.mark.parametrize("order", [IilOrder.DESCENDING_STRENGTH, IilOrder.GIVEN_ORDER])
     def test_batched_init_orders_each_subcarrier(self, order):
@@ -560,14 +574,14 @@ class TestEstimateChannel:
         assert peak < 50e6
 
     @staticmethod
-    def _captured_trainer(monkeypatch, y_p, x_p, cfg, seed):
-        """The trainer `estimate_channel_structnet` builds, left untrained."""
-        trainers = []
+    def _captured_batch(monkeypatch, y_p, x_p, cfg, seed):
+        """The batch `estimate_channel_structnet` hands to its parts, untrained."""
+        batches = []
         monkeypatch.setattr(structnet, "_train_in_parts",
-                            lambda trainer, n_epochs, n_parts: trainers.append(trainer))
+                            lambda batch, n_parts: batches.append(batch) or 0.0)
         estimate_channel_structnet(y_p, x_p, cfg, seed)
-        (trainer,) = trainers
-        return trainer
+        (batch,) = batches
+        return batch
 
     @staticmethod
     def _stacked_streams(y_p, x_p, cfg, seed):
@@ -599,7 +613,8 @@ class TestEstimateChannel:
         spec = SubframeSpec(n_sc=8, n_tx=n_tx, n_pilot=n_tx, pilot_pattern=pattern)
         y_p, x_p = self._pilots(spec, 42)
         cfg = TrainConfig(epochs=1, iil_order=order)
-        got = self._captured_trainer(monkeypatch, y_p, x_p, cfg, 43)
+        batch = self._captured_batch(monkeypatch, y_p, x_p, cfg, 43)
+        got = batch.rows(0, batch.n_models)
         labels, anchor, interference, mlp, lam, y = self._stacked_streams(y_p, x_p, cfg, 43)
         want = _BatchTrainer(np.zeros_like(anchor), interference, mlp, labels, lam, y, cfg,
                              dtype=np.float32)
@@ -607,6 +622,26 @@ class TestEstimateChannel:
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tobytes() == b.tobytes(), name
+        assert np.array_equal(batch.anchor(), anchor)
+
+    @pytest.mark.parametrize("block", [3, 256])
+    def test_part_rows_are_the_stacked_streams_rows(self, monkeypatch, block):
+        # 2x2 at 8 subcarriers: 4 streams of 8 models.  The ranges cut
+        # streams 0 and 1; at block 3 the MLP draws are cut inside ranges too.
+        monkeypatch.setattr(structnet, "_BLOCK", block)
+        y_p, x_p = self._pilots(SubframeSpec(n_sc=8), 46)
+        cfg = TrainConfig(epochs=1)
+        batch = self._captured_batch(monkeypatch, y_p, x_p, cfg, 47)
+        labels, anchor, interference, mlp, lam, y = self._stacked_streams(y_p, x_p, cfg, 47)
+        want = _BatchTrainer(np.zeros_like(anchor), interference, mlp, labels, lam, y, cfg,
+                             dtype=np.float32)
+        for lo, hi in ((0, 5), (5, 13), (13, 32)):
+            got = batch.rows(lo, hi)
+            for name in structnet._PER_MODEL:
+                a, b = getattr(got, name), getattr(want, name)[lo:hi]
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (lo, name)
+                assert a.tobytes() == b.tobytes(), (lo, name)
+            assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_batch_built_without_float64_staging(self, monkeypatch):
         # 2x2 at 256 subcarriers: 1024 models.  Built in place, the batch
@@ -617,13 +652,41 @@ class TestEstimateChannel:
         y_p, x_p = self._pilots(SubframeSpec(n_sc=256), 44)
         tracemalloc.start()
         try:
-            trainer = self._captured_trainer(monkeypatch, y_p, x_p, TrainConfig(epochs=1), 45)
+            batch = self._captured_batch(monkeypatch, y_p, x_p, TrainConfig(epochs=1), 45)
+            trainer = batch.rows(0, batch.n_models)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert trainer.w1.shape[0] == 1024
         trainer_bytes = sum(getattr(trainer, name).nbytes for name in structnet._PER_MODEL)
         assert peak < 2 * trainer_bytes
+
+    def test_caller_holds_only_its_own_part(self, monkeypatch):
+        # 2x2 at 256 subcarriers in two parts of 512 models.  The caller
+        # builds and trains only its part, a block at a time, and receives
+        # the other part's desired weights alone: its peak read 2.4 times its
+        # part's bytes.  Holding the whole batch and a pickled copy of the
+        # worker's part besides read 4.7 times.
+        import tracemalloc
+
+        structnet._close_workers()  # forked below, after the patch
+        monkeypatch.setattr(structnet, "_n_parts", lambda batch: 2)
+        y_p, x_p = self._pilots(SubframeSpec(n_sc=256), 48)
+        cfg = TrainConfig(epochs=2)
+        try:
+            estimate_channel_structnet(y_p, x_p, cfg, 49)  # forks the worker untraced
+            tracemalloc.start()
+            try:
+                estimate_channel_structnet(y_p, x_p, cfg, 49)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            structnet._close_workers()
+        batch = self._captured_batch(monkeypatch, y_p, x_p, cfg, 49)
+        part = batch.rows(0, batch.n_models // 2)
+        part_bytes = sum(getattr(part, name).nbytes for name in structnet._PER_MODEL)
+        assert peak < 3 * part_bytes
 
 
 class TestTrainConfig:
@@ -793,6 +856,51 @@ class TestGradientBuffers:
         assert tr._g is None and tr._wt is None
 
 
+class TestBlocks:
+    """`run_epochs` trains `_BLOCK` models at a time: at block 3, a 7-model
+    batch trains as blocks of 3, 3 and 1 models."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
+    def test_blocks_match_the_reference(self, monkeypatch, kind, dtype):
+        monkeypatch.setattr(structnet, "_BLOCK", 3)
+        blocks = []  # (models, gradient rows, w2 copy rows) at each classifier step
+        grads = _BatchTrainer._grads
+
+        def record(self, fwd=None, mlp=True, channel=True):
+            if mlp and self._g is not None:
+                blocks.append((self.y.shape[0], self._g["w1"].shape[0], self._wt[1].shape[0]))
+            return grads(self, fwd, mlp, channel)
+
+        monkeypatch.setattr(_BatchTrainer, "_grads", record)
+        fast = _batch_trainer(kind, 7, True, dtype=dtype)
+        fast.run_epochs(3)
+        monkeypatch.setattr(_BatchTrainer, "_grads", grads)
+        ref = _batch_trainer(kind, 7, True, dtype=dtype)
+        _reference_epochs(ref, 3)
+        for name in ALL_WEIGHTS:
+            assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+        assert blocks == [(3, 3, 3)] * 3 + [(3, 3, 3)] * 3 + [(1, 1, 1)] * 3
+        assert fast._g is None and fast._wt is None
+
+    def test_divergence_in_a_later_block(self, monkeypatch):
+        # A NaN in model 4, in the second block: the first block has trained
+        # all its epochs when the second raises in its first; the third has
+        # not started.
+        monkeypatch.setattr(structnet, "_BLOCK", 3)
+        start = _batch_trainer(IilKind.MODULO, 7, True)
+        ref = _batch_trainer(IilKind.MODULO, 7, True)
+        _reference_epochs(ref, 4)
+        tr = _batch_trainer(IilKind.MODULO, 7, True)
+        tr.desired[4, 0] = np.nan
+        with pytest.raises(TrainingDivergenceError, match="epoch 1$"):
+            tr.run_epochs(4)
+        for name in ALL_WEIGHTS:
+            assert np.array_equal(getattr(tr, name)[:3], getattr(ref, name)[:3]), name
+            assert np.array_equal(getattr(tr, name)[6:], getattr(start, name)[6:]), name
+        assert tr._g is None and tr._wt is None
+
+
 class TestLoss:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
@@ -822,7 +930,7 @@ spec = SubframeSpec(n_sc=8)
 ss = np.random.SeedSequence(40).spawn(3)
 grid = generate_transmit_grid(spec, build_constellation(16), ss[1])
 y = apply_channel(grid, sample_channel(exponential_pdp(4, 2.0), spec, ss[0]), NoiseSpec(1.0), ss[2])
-structnet._n_parts = lambda trainer: 4
+structnet._n_parts = lambda batch: 4
 structnet.estimate_channel_structnet(y[:, :, :spec.n_pilot], grid.pilots,
                                      structnet.TrainConfig(epochs=2), 41)
 pids += [pid for pid, _ in structnet._WORKERS.procs]
@@ -851,6 +959,38 @@ def _alive(pid: int) -> bool:
         return False
 
 
+@dataclass
+class _TrainerBatch:
+    """A stand-in for a learner batch (`structnet._Batch`) over the models of
+    `_batch_trainer(kind, 7, update_interference, dtype=dtype)`: `train`
+    trains rows [lo, hi) of that trainer for 3 epochs."""
+
+    kind: IilKind
+    update_interference: bool
+    dtype: type
+    n_models: int = 7
+
+    def train(self, lo, hi, stop=None):
+        part = _batch_trainer(self.kind, self.n_models, self.update_interference,
+                              dtype=self.dtype).part(lo, hi)
+        part.run_epochs(3, stop)
+        return part.desired
+
+
+def _learner_batch(n_sc=2, kind=IilKind.MODULO, epochs=3, update_interference=True,
+                   seed=50):
+    """The learner's batch of a 2x2 subframe, 4 streams of n_sc models, with
+    the rates of `_batch_trainer`, so a few epochs move the weights."""
+    spec = SubframeSpec(n_sc=n_sc)
+    ss = np.random.SeedSequence(seed).spawn(3)
+    grid = generate_transmit_grid(spec, build_constellation(16), ss[1])
+    h = sample_channel(exponential_pdp(2, 1.0), spec, ss[0])  # delays below n_sc = 2
+    y_p, x_p = apply_channel(grid, h, NoiseSpec(1.0), ss[2])[:, :, :spec.n_pilot], grid.pilots
+    cfg = TrainConfig(epochs=epochs, iil_kind=kind, lr_classifier=0.05, lr_channel=0.05,
+                      update_interference=update_interference)
+    return structnet._Batch(y_p, x_p, estimate_ls(y_p, x_p), cfg, child_seeds(seed + 1, 4))
+
+
 def _shared_counts(n: int) -> np.ndarray:
     """n int64 counters in shared memory: a worker forked after this call
     adds to the caller's counts."""
@@ -859,7 +999,8 @@ def _shared_counts(n: int) -> np.ndarray:
 
 class TestParallelParts:
     """The batch trained as parts in worker processes is bit for bit the
-    batch trained whole in the caller."""
+    batch trained whole in the caller.  A worker returns only its desired
+    weights; `TestBlocks` compares every weight of parts trained in process."""
 
     @pytest.fixture(autouse=True)
     def fresh_workers(self):
@@ -870,8 +1011,7 @@ class TestParallelParts:
         yield
         structnet._close_workers()
 
-    # 7 models: parts of uneven size, and at 7 parts one model per part, in
-    # six workers, more than a 2-core machine has cores.
+    # 7 models: parts of uneven size, and at 7 parts one model per part.
     @pytest.mark.parametrize("n_parts", [2, 3, 7])
     @pytest.mark.parametrize("update_interference", [True, False])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -879,20 +1019,19 @@ class TestParallelParts:
     def test_parts_match_whole(self, kind, dtype, update_interference, n_parts):
         whole = _batch_trainer(kind, 7, update_interference, dtype=dtype)
         whole.run_epochs(3)
-        parts = _batch_trainer(kind, 7, update_interference, dtype=dtype)
-        structnet._train_in_parts(parts, 3, n_parts)
-        for name in ALL_WEIGHTS:
-            assert np.array_equal(getattr(parts, name), getattr(whole, name)), name
+        parts = structnet._train_in_parts(
+            _TrainerBatch(kind, update_interference, dtype), n_parts)
+        assert parts.dtype == whole.desired.dtype
+        assert parts.tobytes() == whole.desired.tobytes()
 
+    # 8 models in 4 streams of 2: at 7 parts one or two models per part, in
+    # six workers, more than a 2-core machine has cores.
     @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
     def test_more_workers_than_cores(self, monkeypatch, kind):
-        whole = _batch_trainer(kind, 7, True, dtype=np.float32)
-        whole.run_epochs(3)
+        batch = _learner_batch(kind=kind)
+        whole = batch.train(0, batch.n_models)
         for _ in range(2):  # the second call reuses the six workers
-            parts = _batch_trainer(kind, 7, True, dtype=np.float32)
-            structnet._train_in_parts(parts, 3, 7)
-            for name in ALL_WEIGHTS:
-                assert np.array_equal(getattr(parts, name), getattr(whole, name)), name
+            assert structnet._train_in_parts(batch, 7).tobytes() == whole.tobytes()
             assert len(structnet._WORKERS.procs) == 6  # one per part after the first
 
     @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
@@ -900,12 +1039,13 @@ class TestParallelParts:
         y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 26)
         cfg = TrainConfig(epochs=4, iil_kind=kind)
         got = {}
-        # 8 subcarriers of 2x2 are 32 models: in 33 parts the first is empty.
-        for n_parts in (1, 2, 33):
-            monkeypatch.setattr(structnet, "_n_parts", lambda trainer, n=n_parts: n)
+        # 8 subcarriers of 2x2 are 32 models: 3 and 7 parts cut streams, and
+        # in 33 parts the first is empty.
+        for n_parts in (1, 2, 3, 7, 33):
+            monkeypatch.setattr(structnet, "_n_parts", lambda batch, n=n_parts: n)
             got[n_parts] = estimate_channel_structnet(y_p, x_p, cfg, 27)
-        assert np.array_equal(got[1], got[2])
-        assert np.array_equal(got[1], got[33])
+        for n_parts in (2, 3, 7, 33):
+            assert got[n_parts].tobytes() == got[1].tobytes(), n_parts
 
     def test_part_count(self, monkeypatch):
         monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(8)))
@@ -914,7 +1054,7 @@ class TestParallelParts:
             y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=n_sc), 28)
             seen = []
             monkeypatch.setattr(structnet, "_train_in_parts",
-                                lambda trainer, n_epochs, n: seen.append(n))
+                                lambda batch, n: seen.append(n) or 0.0)
             estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=epochs, iil_kind=kind), 29)
             return seen[0]
 
@@ -935,18 +1075,18 @@ class TestParallelParts:
     def test_part_count_without_affinity(self, monkeypatch):
         # Platforms without sched_getaffinity count the machine's cores.
         monkeypatch.delattr(structnet.os, "sched_getaffinity")
-        trainer = _batch_trainer(IilKind.SHIFTING, 64, True)  # 64 x 4 samples x 27 points
+        batch = _learner_batch(n_sc=16)  # 64 models x 4 samples x 27 points
         for cpus, epochs, want in ((3, 200, 3), (None, 200, 1), (3, 1, 1)):
-            trainer.cfg = TrainConfig(epochs=epochs, iil_kind=IilKind.SHIFTING, iil_window=1)
+            batch.cfg = TrainConfig(epochs=epochs, iil_kind=IilKind.SHIFTING, iil_window=1)
             monkeypatch.setattr(structnet.os, "cpu_count", lambda cpus=cpus: cpus)
-            assert structnet._n_parts(trainer) == want
+            assert structnet._n_parts(batch) == want
 
     def test_one_part_without_fork(self, monkeypatch):
         monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(2)))
-        trainer = _batch_trainer(IilKind.MODULO, 64, True)  # 51200 units in 200 epochs
-        assert structnet._n_parts(trainer) == 2
+        batch = _learner_batch(n_sc=16, epochs=200)  # 51200 units
+        assert structnet._n_parts(batch) == 2
         monkeypatch.delattr(structnet.os, "fork")
-        assert structnet._n_parts(trainer) == 1
+        assert structnet._n_parts(batch) == 1
         y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 26)
         cfg = TrainConfig(epochs=4, iil_kind=IilKind.SHIFTING)  # 175616 units
         estimate_channel_structnet(y_p, x_p, cfg, 27)
@@ -966,11 +1106,11 @@ class TestParallelParts:
 
         monkeypatch.setattr(_BatchTrainer, "run_epochs", run_or_fail)
         with pytest.raises(RuntimeError, match=f"^{failing} part failed$"):
-            structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 6, True), 2, 3)
+            structnet._train_in_parts(_learner_batch(epochs=2), 3)
         # The workers outlive a part's exception and train the next batch.
         workers = list(structnet._WORKERS.procs)
         fail[0] = 0
-        structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 6, True), 2, 3)
+        structnet._train_in_parts(_learner_batch(epochs=2), 3)
         assert structnet._WORKERS.procs == workers
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -993,7 +1133,7 @@ class TestParallelParts:
             return g
 
         monkeypatch.setattr(_BatchTrainer, "_grads", grads_with_value)
-        monkeypatch.setattr(structnet, "_n_parts", lambda trainer: 2)
+        monkeypatch.setattr(structnet, "_n_parts", lambda batch: 2)
         y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 30)
         with pytest.raises(TrainingDivergenceError, match=f"epoch {n_epochs}$"):
             estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=n_epochs), 31)
@@ -1022,7 +1162,7 @@ class TestParallelParts:
             return g
 
         monkeypatch.setattr(_BatchTrainer, "_grads", grads_with_nan)
-        monkeypatch.setattr(structnet, "_n_parts", lambda trainer: n_parts)
+        monkeypatch.setattr(structnet, "_n_parts", lambda batch: n_parts)
         y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 34)
         for kind in (IilKind.MODULO, IilKind.SHIFTING):
             calls[:] = 0
@@ -1037,7 +1177,7 @@ class TestParallelParts:
         # points in float32; the cap lies between half of that and all of it.
         whole_bytes = 64 * 4 * 4 * 343 * 4
         monkeypatch.setattr(structnet, "CACHE_BYTE_CAP", whole_bytes * 3 // 4)
-        monkeypatch.setattr(structnet, "_n_parts", lambda trainer: 2)
+        monkeypatch.setattr(structnet, "_n_parts", lambda batch: 2)
         y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=16), 32)
         cfg = TrainConfig(epochs=1, iil_kind=IilKind.SHIFTING)
         with pytest.raises(ResourceLimitError, match="cache"):
@@ -1048,7 +1188,7 @@ class TestParallelParts:
         assert len(structnet._WORKERS.procs) == 1
 
     def test_workers_persist_across_a_larger_batch(self, monkeypatch):
-        monkeypatch.setattr(structnet, "_n_parts", lambda trainer: 2)
+        monkeypatch.setattr(structnet, "_n_parts", lambda batch: 2)
         pids = []
         for n_sc in (8, 64):  # the second batch's part holds 8 times the first's models
             y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=n_sc), 36)
@@ -1059,7 +1199,7 @@ class TestParallelParts:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
     def test_closed_workers_leave_no_descriptor_open(self):
         before = sorted(os.listdir("/proc/self/fd"))
-        structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 6, True), 1, 3)
+        structnet._train_in_parts(_learner_batch(epochs=1), 3)
         assert len(structnet._WORKERS.procs) == 2
         structnet._close_workers()
         assert sorted(os.listdir("/proc/self/fd")) == before
@@ -1073,14 +1213,14 @@ class TestParallelParts:
         assert left_at_exit == ""  # ended and waited for before the interpreter exits
 
     def test_forked_child_has_workers_of_its_own(self):
-        structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 4, True), 1, 2)
+        structnet._train_in_parts(_learner_batch(epochs=1), 2)
         workers = list(structnet._WORKERS.procs)
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
                 inherited = list(structnet._WORKERS.procs)
-                structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 4, True), 1, 2)
+                structnet._train_in_parts(_learner_batch(epochs=1), 2)
                 own = [pid for pid, _ in structnet._WORKERS.procs]
                 structnet._close_workers()
                 status = 0 if inherited == [] and len(own) == 1 else 2
@@ -1088,7 +1228,7 @@ class TestParallelParts:
                 os._exit(status)
         assert os.waitpid(pid, 0)[1] == 0
         assert structnet._WORKERS.procs == workers
-        structnet._train_in_parts(_batch_trainer(IilKind.MODULO, 4, True), 1, 2)
+        structnet._train_in_parts(_learner_batch(epochs=1), 2)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     def test_workers_end_when_their_caller_is_killed(self):
