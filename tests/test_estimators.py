@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from celab.channel_sim import NoiseSpec, apply_channel, analytic_freq_correlation, exponential_pdp, sample_channel
-from celab.errors import InvalidArgumentError, NumericalFailureError
+from celab.errors import COND_LIMIT, InvalidArgumentError, NumericalFailureError
 from celab.estimators import (
     EmLmmseState,
     FactoredCorr,
@@ -12,7 +12,7 @@ from celab.estimators import (
     lmmse_filter,
     update_empirical_correlation,
 )
-from celab.evaluation import compute_mse, snr_to_noise_var
+from celab.evaluation import compute_mse, equalize_lmmse, snr_to_noise_var
 from celab.signal_model import SubframeSpec, build_constellation, generate_transmit_grid
 
 
@@ -74,6 +74,93 @@ class TestLs:
         bias = np.mean(est - h, axis=0)
         stderr = np.sqrt(sigma2 / 10.0 / n_trials)
         assert np.all(np.abs(bias) <= 3 * stderr)
+
+
+_COND = np.linalg.cond  # the per-matrix check, before any test replaces it
+
+# Matrix kinds of the mixed stack: a target condition number, or what the
+# matrix holds instead.  (5e11, 1e12] is past the certificate but passes.
+_KINDS = {"certified": 1e3, "exact_low": 6e11, "exact_high": 9.9e11,
+          "above_low": 1.1e12, "above_high": 1e15, "singular": None,
+          "nan": np.nan, "inf": np.inf}
+_PASSING = ["certified", "exact_low", "exact_high"]
+
+
+def _factor(rng, kind, delta):
+    """A 2 x 2 factor F whose system (F F^H for LS, F^H F + delta I for the
+    equalizer) is of the given kind."""
+    u, v = (np.linalg.qr(_random_channel(rng, 2, 2))[0] for _ in range(2))
+    target = _KINDS[kind]
+    if kind == "singular":
+        s = [1.0, 0.0]
+    elif kind in ("nan", "inf"):
+        s = [1.0, 0.5]
+    elif delta == 0:  # 1 / s2^2
+        s = [1.0, target ** -0.5]
+    else:  # rank one: (s1^2 + delta) / delta
+        s = [np.sqrt(delta * (target - 1.0)), 0.0]
+    f = u @ np.diag(s) @ v.conj().T
+    if kind in ("nan", "inf"):
+        f[0, 0] = target
+    return f
+
+
+def _per_matrix_error(a, message):
+    """The error np.linalg.cond on every matrix of the stack `a` decided, or None."""
+    try:
+        cond = _COND(a)
+    except np.linalg.LinAlgError as exc:
+        return exc
+    if not np.all(np.isfinite(cond)) or np.max(cond) > COND_LIMIT:
+        return NumericalFailureError(message.format(cond=np.max(cond)))
+    return None
+
+
+class TestConditioningCheck:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("target", ["ls", "equalizer-0", "equalizer-1e-6"])
+    def test_decisions_match_per_matrix_cond(self, target, monkeypatch):
+        # Each matrix alone, the passing ones stacked, and the whole stack:
+        # LS and the equalizer raise exactly where np.linalg.cond on every
+        # matrix does, with its error, and np.linalg.cond sees exactly the
+        # matrices the trace bound leaves uncertified.
+        rng = np.random.default_rng(8)
+        delta = 1e-6 if target == "equalizer-1e-6" else 0.0
+        # Regularized, a rank-deficient channel is no longer singular.
+        kinds = [k for k in _KINDS if delta == 0 or k != "singular"]
+        f = np.stack([_factor(rng, k, delta) for k in kinds])
+        fh = f.conj().transpose(0, 2, 1)
+        h = rng.normal(size=f.shape) + 1j * rng.normal(size=f.shape)
+        with np.errstate(all="ignore"):
+            systems = f @ fh if target == "ls" else fh @ f + delta * np.eye(2)
+            y = h @ f
+        if target == "ls":
+            message = "pilot Gram matrix ill-conditioned (cond={cond:.3e})"
+            call = lambda i: estimate_ls(y[i], f[i])
+        else:
+            message = "equalizer system singular or ill-conditioned"
+            call = lambda i: equalize_lmmse(h[i], f[i], 10.0 * delta, 10.0)
+        seen = []
+        monkeypatch.setattr(np.linalg, "cond", lambda a: seen.append(len(a)) or _COND(a))
+        passing = [kinds.index(k) for k in _PASSING]
+        for i in [*range(len(kinds)), passing, list(range(len(kinds)))]:
+            want = _per_matrix_error(systems[i], message)
+            seen.clear()
+            try:
+                call(i)
+                got = None
+            except (NumericalFailureError, np.linalg.LinAlgError) as exc:
+                got = exc
+            if isinstance(want, np.linalg.LinAlgError):
+                # The SVD fails on a NaN system.  From an inf entry the
+                # equalizer's outer products build an infinite system, where
+                # the matmul mixed in inf * 0 = NaN, and cond reports inf.
+                assert got is not None, (target, i)
+            else:
+                assert (type(got), str(got)) == (type(want), str(want)), (target, i)
+            uncertified = np.count_nonzero(np.array(kinds)[i] != "certified")
+            assert sum(seen) == uncertified, (target, i)
+        assert _per_matrix_error(systems[passing], message) is None
 
 
 class TestLmmse:

@@ -87,6 +87,23 @@ class TestEqualizer:
         else:
             assert np.all(np.isfinite(equalize_lmmse(y, h, sigma2, sym_energy)))
 
+    def test_negative_noise_variance_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="noise variance"):
+            equalize_lmmse(np.ones((2, 3), dtype=complex), np.eye(2, dtype=complex), -5.0, 10.0)
+
+    @pytest.mark.parametrize("n_tx", [1, 2, 3, 4])
+    @pytest.mark.parametrize("stack", [(), (16,)], ids=["one", "stack"])
+    def test_matches_solve(self, n_tx, stack):
+        rng = np.random.default_rng(n_tx)
+        for n_rx in range(n_tx, 5):
+            h = rng.normal(size=(*stack, n_rx, n_tx)) + 1j * rng.normal(size=(*stack, n_rx, n_tx))
+            y = rng.normal(size=(*stack, n_rx, 7)) + 1j * rng.normal(size=(*stack, n_rx, 7))
+            hh = np.conj(np.swapaxes(h, -1, -2))
+            want = np.linalg.solve(hh @ h + 0.1 * np.eye(n_tx), hh @ y)
+            got = equalize_lmmse(y, h, 1.0, 10.0)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_stacked_subcarriers(self):
         rng = np.random.default_rng(3)
         h = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))

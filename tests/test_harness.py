@@ -4,7 +4,7 @@ from dataclasses import fields, is_dataclass, replace
 import pytest
 
 from celab import cli, harness
-from celab.errors import ConfigError, TrainingDivergenceError
+from celab.errors import ConfigError, InvalidArgumentError, TrainingDivergenceError
 from celab.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -336,6 +336,11 @@ class TestBenchIil:
         assert {r.iil for r in rows} == {"shifting", "modulo"}
         assert all(not r.skipped and r.wall_time_s >= 0 for r in rows)
 
+    @pytest.mark.parametrize("n_tx_list", [[0], [-1], [2, 0]])
+    def test_fewer_than_one_antenna_rejected(self, n_tx_list):
+        with pytest.raises(InvalidArgumentError, match="n_tx"):
+            bench_iil(n_tx_list, epochs=3)
+
     def test_cache_cap_marks_shifting_skipped(self):
         # 10 transmit antennas: 7^9 grid points x 2 samples x 20 reals in
         # float32, ~6.5 GB of cache, refused before the grid is built.
@@ -391,3 +396,9 @@ class TestCli:
         assert cli.main(["bench-iil", "--sizes", "1", "--epochs", "2"]) == 0
         out = capsys.readouterr().out
         assert "shifting" in out and "modulo" in out
+
+    @pytest.mark.parametrize("sizes", ["2,x", "1.5", "", "0", "-1", "2,0"])
+    def test_bench_bad_sizes_are_diagnosed(self, sizes, capsys):
+        assert cli.main(["bench-iil", "--sizes", sizes, "--epochs", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""

@@ -82,6 +82,39 @@ class TestModulation:
             assert modulate_bits(bits, c)[0] == p
 
 
+def _searchsorted_demap(syms, c):
+    """The demapper the boundary count replaced: np.searchsorted per axis."""
+    syms = np.asarray(syms, dtype=complex).ravel()
+    ka = c.bits_per_axis
+    boundaries = (c.pam_levels[:-1] + c.pam_levels[1:]) / 2.0
+    shifts = np.arange(ka - 1, -1, -1)
+    bits = [((c.gray_codes[np.searchsorted(boundaries, v, side="left")][:, None] >> shifts) & 1)
+            for v in (syms.real, syms.imag)]
+    return np.concatenate(bits, axis=1).reshape(-1)
+
+
+class TestDemapperAgainstSearchsorted:
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_same_bytes(self, order):
+        c = build_constellation(order)
+        rng = np.random.default_rng(order)
+        m = len(c.pam_levels)
+        boundaries = (c.pam_levels[:-1] + c.pam_levels[1:]) / 2.0
+        # Levels, boundaries (ties go to the smaller level), beyond the
+        # outer levels, +-inf and NaN, on either axis and in every pairing.
+        special = np.concatenate([c.pam_levels, boundaries, [-m - 5.0, m + 5.0],
+                                  [np.inf, -np.inf, np.nan]])
+        re, im = (v.ravel() for v in np.meshgrid(special, special))
+        edges = re + 0j
+        edges.imag = im
+        noisy = m * (rng.normal(size=3000) + 1j * rng.normal(size=3000))
+        for syms in (edges, noisy, noisy[::3], noisy[:12].reshape(3, 4).T,
+                     noisy[:0], noisy.astype(np.complex64)):
+            got, want = demodulate_hard(syms, c), _searchsorted_demap(syms, c)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestRealification:
     def test_realify_signal(self):
         assert np.array_equal(realify_signal([1 + 2j]), [1.0, 2.0])
