@@ -32,19 +32,17 @@ those pilots are fitted exactly by the LS estimate the learner starts from,
 so every training sample is a noise-free function of that estimate.
 
 Parallel parts.  Since no model shares anything with another, the batch
-trains as contiguous parts along the model axis, one per core
-(`_train_in_parts`): the first in the caller, each other in a worker
-process of its own.  No process holds the whole batch.  The caller sends a
-worker, through a pipe, the subframe's inputs (`_Batch`: pilots, LS
-estimate, config and stream seeds, ~200 KB at 1024 subcarriers) and the
-part's model range; the worker builds those rows, trains them and replies
-with their desired weights, which the caller gathers.  A part that cuts a
-stream draws that stream's MLP weights from its seed up to the part's end
-and keeps its own rows, so the numbers are bit for bit those of the whole
-batch in one process.  A batch splits only when each part keeps at least one
-model and `_PART_WORK` (model, sample, shift-grid point, epoch) units
-(`_n_parts`), since a split call costs time.  `harness.bench_iil` trains in
-one part.
+trains as parts of whole realized streams, one part per core but at most
+one per stream (`_n_parts`): the first in the caller, each other in a
+worker process of its own (`_train_in_parts`).  No process holds the whole
+batch.  The caller sends a worker, through a pipe, the subframe's inputs
+(`_Batch`: pilots, LS estimate, config and stream seeds, ~200 KB at 1024
+subcarriers) and the part's stream range; the worker builds those streams,
+trains them and replies with their desired weights, which the caller
+gathers.  Each stream's models are drawn from its own seed, so the numbers
+are bit for bit those of the whole batch in one process.  A batch thus uses
+at most 2*N_t cores: a 2x2 batch on an 8-core machine trains in 4 parts.
+`harness.bench_iil` trains in one part.
 
 Blocks.  `run_epochs` trains `_BLOCK` = 256 models at a time, all epochs per
 block, so a block's gradients, weight copies and activations stay in the
@@ -153,18 +151,6 @@ class TrainConfig:
             raise InvalidArgumentError("n_h1 and n_h2 must be >= 1")
 
 
-# Work, in (model, sample, shift-grid point, epoch) units, each parallel part
-# must keep.  Two parts in two processes against one, float32, 2x2, 16-QAM,
-# interleaved medians on a 2-core Xeon (KVM) with numpy 2.4: modulo
-# 1.35-1.42x at 5120 units per part (256 models, 10 epochs), 1.44-1.57x at
-# 10240 and 1.58-1.67x at 20480; shifting (343 grid points) 0.64-1.02x at 43904
-# (32 models, 2 epochs), 0.99-1.23x at 175616 (8 epochs) and 1.51x at 351232
-# (64 models).  A call that splits pickles the subframe's inputs to each
-# worker and the parts' desired weights back, and builds each part where it
-# trains: with the build counted, zero-epoch calls in two parts took +0.4 ms at
-# 32 models, -2.0 ms at 256 and -27 ms at 4096 against one (medians of 40).
-_PART_WORK = 8192
-
 # Models `_BatchTrainer.run_epochs` trains at a time (module docstring,
 # "Blocks"); also the rows of one MLP weight drawn at a time (`_init_mlp`).
 _BLOCK = 256
@@ -206,51 +192,41 @@ def _mlp_shapes(dim: int, cfg: TrainConfig) -> tuple:
     return (cfg.n_h1, dim), (cfg.n_h1,), (cfg.n_h2, cfg.n_h1), (cfg.n_h2,), (2, cfg.n_h2), (2,)
 
 
-def _init_mlp(rng, n_models: int, dim: int, cfg: TrainConfig, out=None, lo=0, hi=None) -> tuple:
-    """MLP weights (w1, b1, w2, b2, w3, b3) of models [lo, hi) out of n_models
-    classifiers (hi defaults to n_models): weights N(0, 0.1), drawn for all
-    n_models in the order w1, w2, w3; biases 0.  Written into `out`, six
-    arrays of any float dtype with hi - lo rows, or new float64 arrays.
+def _init_mlp(rng, n_models: int, dim: int, cfg: TrainConfig, out=None) -> tuple:
+    """MLP weights (w1, b1, w2, b2, w3, b3) of n_models classifiers: weights
+    N(0, 0.1), drawn in the order w1, w2, w3; biases 0.  Written into `out`,
+    six arrays of any float dtype with n_models rows, or new float64 arrays.
 
     Each weight is drawn `_BLOCK` models at a time, in the bits of one draw
-    of the whole weight; the rows outside [lo, hi) are drawn and dropped
-    (w3's after hi are not drawn), so a range gets the draws it would get
-    as part of the whole."""
-    hi = n_models if hi is None else hi
+    of the whole weight, so no float64 draw of a whole weight is held."""
     if out is None:
-        out = tuple(np.empty((hi - lo,) + shape) for shape in _mlp_shapes(dim, cfg))
-    for k, (w, b) in enumerate(zip(out[::2], out[1::2])):
-        for start in range(0, hi if k == 2 else n_models, _BLOCK):
-            draw = rng.normal(0.0, 0.1, (min(_BLOCK, n_models - start),) + w.shape[1:])
-            first, end = max(start, lo), min(start + len(draw), hi)
-            if first < end:
-                w[first - lo:end - lo] = draw[first - start:end - start]
+        out = tuple(np.empty((n_models,) + shape) for shape in _mlp_shapes(dim, cfg))
+    for w, b in zip(out[::2], out[1::2]):
+        for start in range(0, n_models, _BLOCK):
+            block = w[start:start + _BLOCK]
+            block[...] = rng.normal(0.0, 0.1, block.shape)
         b[...] = 0.0
     return out
 
 
-def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng, mlp_out=None, lo=0, hi=None):
-    """Initial weights of one realized stream's models [lo, hi), one per
-    subcarrier (hi defaults to n_sc).
+def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng, mlp_out=None):
+    """Initial weights of one realized stream's models, one per subcarrier.
 
-    h_ls is (n_sc, N_r, N_t).  Returns (desired (hi - lo, D), interference
-    (hi - lo, K, D), MLP weights), D = 2*N_r, K = 2*N_t - 1.  The desired
+    h_ls is (n_sc, N_r, N_t).  Returns (desired (n_sc, D), interference
+    (n_sc, K, D), MLP weights), D = 2*N_r, K = 2*N_t - 1.  The desired
     weights are the stream's realified channel column; the interference
     weights are the other realized streams' columns, ordered per
-    cfg.iil_order on each subcarrier separately.  The MLP weights are those
-    of the range among the stream's n_sc models (`_init_mlp`), written into
-    `mlp_out` if it is given.
+    cfg.iil_order on each subcarrier separately.  The MLP weights
+    (`_init_mlp`) are written into `mlp_out` if it is given.
     """
     n_sc, n_rx, n_tx = h_ls.shape
-    hi = n_sc if hi is None else hi
-    h = h_ls[lo:hi]
-    desired = realify_channel_column(h[:, :, stream % n_tx], stream, n_tx)
-    interference = np.stack([realify_channel_column(h[:, :, j % n_tx], j, n_tx)
+    desired = realify_channel_column(h_ls[:, :, stream % n_tx], stream, n_tx)
+    interference = np.stack([realify_channel_column(h_ls[:, :, j % n_tx], j, n_tx)
                              for j in range(2 * n_tx) if j != stream], axis=1)
     if cfg.iil_order is IilOrder.DESCENDING_STRENGTH:
         order = np.argsort(-np.sum(interference**2, axis=2), axis=1, kind="stable")
         interference = np.take_along_axis(interference, order[:, :, None], axis=1)
-    return desired, interference, _init_mlp(rng, n_sc, 2 * n_rx, cfg, mlp_out, lo, hi)
+    return desired, interference, _init_mlp(rng, n_sc, 2 * n_rx, cfg, mlp_out)
 
 
 def _channel_layer(y, lam, h):
@@ -582,7 +558,7 @@ def _cores() -> int:
 class _Batch:
     """One subframe's learner batch, held as its inputs: every (subcarrier,
     stream) model, streams stacked along the model axis, so stream i owns
-    models [i*n_sc, (i+1)*n_sc).  A range of models is built from these
+    models [i*n_sc, (i+1)*n_sc).  A range of streams is built from these
     alone (`rows`), so each process builds only the part it trains."""
 
     y_p: np.ndarray    # (n_sc, N_r, N_p) received pilots
@@ -597,8 +573,12 @@ class _Batch:
         return np.any(self.x_p != 0, axis=0)
 
     @property
+    def n_streams(self) -> int:
+        return 2 * self.x_p.shape[1]
+
+    @property
     def n_models(self) -> int:
-        return 2 * self.x_p.shape[1] * self.x_p.shape[0]
+        return self.n_streams * self.x_p.shape[0]
 
     @property
     def n_samples(self) -> int:
@@ -610,73 +590,63 @@ class _Batch:
         return np.concatenate([realify_channel_column(self.h_ls[:, :, i % n_tx], i, n_tx)
                                for i in range(2 * n_tx)])
 
-    def rows(self, lo: int, hi: int) -> _BatchTrainer:
-        """Models [lo, hi) as a float32 trainer, built stream by stream
-        straight into its arrays.  Their desired weights hold the change from
-        the anchor, 0; only the anchor and the channel layer's input at it,
-        y + lambda * anchor, are formed in float64.  A stream that the range
-        cuts still gets its own draws (`_init_stream`)."""
+    def rows(self, first: int, last: int) -> _BatchTrainer:
+        """Streams [first, last), models [first*n_sc, last*n_sc), as a float32
+        trainer, built stream by stream straight into its arrays.  Their
+        desired weights hold the change from the anchor, 0; only the anchor
+        and the channel layer's input at it, y + lambda * anchor, are formed
+        in float64."""
         n_sc, n_tx = self.x_p.shape[:2]
         dim, f32, active = 2 * self.y_p.shape[1], np.float32, self.active
-        interference = np.empty((hi - lo, 2 * n_tx - 1, dim), f32)
-        mlp = tuple(np.empty((hi - lo,) + shape, f32) for shape in _mlp_shapes(dim, self.cfg))
-        lam = np.empty((hi - lo, self.n_samples), f32)
+        n_models = (last - first) * n_sc
+        interference = np.empty((n_models, 2 * n_tx - 1, dim), f32)
+        mlp = tuple(np.empty((n_models,) + shape, f32) for shape in _mlp_shapes(dim, self.cfg))
+        lam = np.empty((n_models, self.n_samples), f32)
         y = np.empty(lam.shape + (dim,), f32)
-        for i in range(2 * n_tx):
-            # Subcarriers [a, b) of stream i fall in the range, as these rows.
-            a, b = max(lo - i * n_sc, 0), min(hi - i * n_sc, n_sc)
-            if a >= b:
-                continue
-            rows = slice(i * n_sc + a - lo, i * n_sc + b - lo)
+        for i in range(first, last):
+            rows = slice((i - first) * n_sc, (i - first + 1) * n_sc)
             slots = np.flatnonzero(active[i % n_tx])
-            x = self.x_p[a:b, i % n_tx, slots]
-            y_real = realify_signal(np.transpose(self.y_p[a:b, :, slots], (0, 2, 1)))  # (b-a, P, D)
+            x = self.x_p[:, i % n_tx, slots]
+            y_real = realify_signal(np.transpose(self.y_p[:, :, slots], (0, 2, 1)))  # (n_sc, P, D)
             _, lam_i, y_samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
             anchor, interference[rows], _ = _init_stream(
                 self.h_ls, i, self.cfg, np.random.default_rng(self.seeds[i]),
-                [w[rows] for w in mlp], a, b)
+                [w[rows] for w in mlp])
             lam[rows] = lam_i
             y[rows] = _channel_layer(y_samples, lam_i, anchor)
         labels = np.tile([1, 0], lam.shape[1] // 2)  # `_binary_samples`' classes, every stream's
-        return _BatchTrainer(np.zeros((hi - lo, dim), f32), interference, mlp, labels, lam, y,
+        return _BatchTrainer(np.zeros((n_models, dim), f32), interference, mlp, labels, lam, y,
                              self.cfg, dtype=f32)
 
-    def train(self, lo: int, hi: int, stop=None) -> np.ndarray:
-        """Build models [lo, hi), train them for cfg.epochs epochs and return
-        their desired weights: the change from the anchor, (hi - lo, D) float32."""
-        trainer = self.rows(lo, hi)
+    def train(self, first: int, last: int, stop=None) -> np.ndarray:
+        """Build streams [first, last), train them for cfg.epochs epochs and
+        return their desired weights: the change from the anchor,
+        ((last - first) * n_sc, D) float32."""
+        trainer = self.rows(first, last)
         trainer.run_epochs(self.cfg.epochs, stop)
         return trainer.desired
 
 
 def _n_parts(batch: _Batch) -> int:
-    """Parts to train the batch in for `batch.cfg.epochs` epochs: one per
-    core, as long as each keeps `_PART_WORK` (model, sample, shift-grid
-    point, epoch) units and at least one model.  Without `os.fork` the batch
-    trains in one part."""
-    if not hasattr(os, "fork"):
-        return 1
-    cfg = batch.cfg
-    n_interferers = 2 * batch.x_p.shape[1] - 1
-    grid = (2 * cfg.iil_window + 1) ** n_interferers if cfg.iil_kind is IilKind.SHIFTING else 1
-    work = batch.n_models * batch.n_samples * grid * cfg.epochs
-    return max(1, min(_cores(), work // _PART_WORK, batch.n_models))
+    """Parts to train the batch in: one per core, but at most one per
+    realized stream.  Without `os.fork` the batch trains in one part."""
+    return min(_cores(), batch.n_streams) if hasattr(os, "fork") else 1
 
 
 def _serve(conn, stop: mmap.mmap) -> None:
-    """A worker's loop: build and train each part received as (batch, lo,
-    hi), and reply with its desired weights (`_Batch.train`) or with the
+    """A worker's loop: build and train each part received as (batch, first,
+    last), and reply with its desired weights (`_Batch.train`) or with the
     exception the part raised.  Returns once every copy of the caller's end
     of the connection is closed, as when the caller dies."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # `_Workers.close` ends the process
     while True:
         try:
-            batch, lo, hi = conn.recv()
+            batch, first, last = conn.recv()
         except EOFError:
             return
         try:
-            reply = batch.train(lo, hi, stop)
+            reply = batch.train(first, last, stop)
         except BaseException as exc:  # sent to the caller, which raises it
             stop[0] = 1
             reply = exc
@@ -741,9 +711,9 @@ atexit.register(_close_workers)
 
 
 def _train_in_parts(batch: _Batch, n_parts: int) -> np.ndarray:
-    """Train the batch as n_parts contiguous parts along the model axis: the
-    first in the caller, each other in a worker process of its own, each
-    built where it trains (`batch.train`).  Returns every model's trained
+    """Train the batch as n_parts parts of whole streams: the first in the
+    caller, each other in a worker process of its own, each built where it
+    trains (`batch.train`).  Returns every model's trained
     desired weights, (n_models, D), bit for bit those of the whole batch
     trained in the caller.
 
@@ -751,15 +721,15 @@ def _train_in_parts(batch: _Batch, n_parts: int) -> np.ndarray:
     ended; the other parts stop before their next epoch.
     """
     if n_parts == 1:
-        return batch.train(0, batch.n_models)
-    bounds = [batch.n_models * i // n_parts for i in range(n_parts + 1)]
+        return batch.train(0, batch.n_streams)
+    bounds = [batch.n_streams * i // n_parts for i in range(n_parts + 1)]
     changes, error = [], None  # the parts' desired weights, in model order
     with _WORKERS.lock:
         try:
             conns = _WORKERS.start(n_parts - 1)
             _WORKERS.stop[0] = 0
-            for conn, lo, hi in zip(conns, bounds[1:], bounds[2:]):
-                conn.send((batch, lo, hi))
+            for conn, first, last in zip(conns, bounds[1:], bounds[2:]):
+                conn.send((batch, first, last))
             try:
                 changes.append(batch.train(0, bounds[1], _WORKERS.stop))
             except BaseException as exc:  # raised below, once every part has ended

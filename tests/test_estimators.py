@@ -7,7 +7,6 @@ from celab.estimators import (
     EmLmmseState,
     FactoredCorr,
     estimate_em_lmmse,
-    estimate_lmmse,
     estimate_ls,
     lmmse_filter,
     update_empirical_correlation,
@@ -44,6 +43,15 @@ class TestLs:
     def test_singular_gram_rejected(self):
         x_p = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         with pytest.raises(NumericalFailureError):
+            estimate_ls(np.ones((2, 2), dtype=complex), x_p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_pilot_rejected(self):
+        # np.linalg.cond's SVD fails on the NaN Gram matrix; the check turns
+        # that into its own error, which a sweep catches per cell.
+        x_p = np.eye(2, dtype=complex)
+        x_p[0, 0] = np.nan
+        with pytest.raises(NumericalFailureError, match=r"ill-conditioned \(cond=inf\)"):
             estimate_ls(np.ones((2, 2), dtype=complex), x_p)
 
     @pytest.mark.parametrize("cond", [1e11, 1e13])
@@ -168,19 +176,19 @@ class TestLmmse:
         rng = np.random.default_rng(4)
         r = analytic_freq_correlation(exponential_pdp(4, 2.0), 8)
         h_ls = rng.normal(size=8) + 1j * rng.normal(size=8)
-        assert np.allclose(estimate_lmmse(h_ls, r, 0.0, 10.0), h_ls)
+        assert np.allclose(lmmse_filter(r, 0.0) @ h_ls, h_ls)
 
     def test_identity_prior_halves(self):
         rng = np.random.default_rng(5)
         h_ls = rng.normal(size=6) + 1j * rng.normal(size=6)
         # sigma_eff^2 = sigma2/pilot_energy = 1 with identity prior -> h/2.
-        assert np.allclose(estimate_lmmse(h_ls, np.eye(6), 10.0, 10.0), h_ls / 2)
+        assert np.allclose(lmmse_filter(np.eye(6), 10.0 / 10.0) @ h_ls, h_ls / 2)
 
     def test_non_hermitian_rejected(self):
         r = np.eye(4, dtype=complex)
         r[0, 1] = 1.0
         with pytest.raises(InvalidArgumentError):
-            estimate_lmmse(np.ones(4), r, 1.0, 10.0)
+            lmmse_filter(r, 1.0 / 10.0) @ np.ones(4)
 
     def test_filter_is_contraction(self):
         rng = np.random.default_rng(6)
@@ -257,9 +265,13 @@ class TestEmpiricalCorrelation:
         r = analytic_freq_correlation(exponential_pdp(4, 2.0), 16)
         h_ls = rng.normal(size=16) + 1j * rng.normal(size=16)
         state = EmLmmseState(factored=FactoredCorr.from_dense(r), subframes_seen=500)
-        assert np.allclose(
-            estimate_em_lmmse(state, h_ls, 2.0, 10.0), estimate_lmmse(h_ls, r, 2.0, 10.0)
-        )
+        assert np.allclose(estimate_em_lmmse(state, h_ls, 2.0, 10.0),
+                           lmmse_filter(r, 2.0 / 10.0) @ h_ls)
+
+    @pytest.mark.parametrize("pilot_energy", [0.0, -10.0])
+    def test_pilot_energy_must_be_positive(self, pilot_energy):
+        with pytest.raises(InvalidArgumentError, match="pilot energy"):
+            estimate_em_lmmse(EmLmmseState.initial(4), np.ones(4), 1.0, pilot_energy)
 
     def test_ls_fed_state_approaches_true_correlation(self):
         # Accumulating unbiased estimates drives corr toward R + sigma_eff^2 I,

@@ -274,6 +274,25 @@ class TestRunSweep:
         assert all(math.isfinite(r.mse) and math.isfinite(r.ber) for r in others)
         assert len(calls) == 5  # the failed SNR is skipped on subframe 2
 
+    def test_nonfinite_estimate_is_a_nan_row_and_a_warning(self, monkeypatch):
+        # The equalizer's conditioning check cannot run an SVD on a system
+        # with a NaN entry; the cell fails with the lab's error, not numpy's.
+        def with_nan(state, cell):
+            h = cell.h.copy()
+            h[0, 0, 0] = complex("nan")
+            return h
+
+        monkeypatch.setitem(harness._METHODS, "PerfectCSI", (None, with_nan, False))
+        cfg = config_from_items({"n_sc": "8", "n_subframes": "3", "snr_db": "10",
+                                 "methods": "LS,PerfectCSI"})
+        with pytest.warns(RuntimeWarning) as record:
+            rows = {r.method: r for r in run_sweep(cfg)}
+        assert [str(w.message) for w in record] == [
+            "PerfectCSI at 10 dB failed on subframe 0: "
+            "NumericalFailureError: equalizer system singular or ill-conditioned"]
+        assert math.isnan(rows["PerfectCSI"].mse) and math.isnan(rows["PerfectCSI"].ber)
+        assert math.isfinite(rows["LS"].mse) and math.isfinite(rows["LS"].ber)
+
 
 class TestCsv:
     def test_empty_rows_header_only(self, tmp_path):

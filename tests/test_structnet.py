@@ -109,17 +109,18 @@ class TestInitModel:
         assert all(np.array_equal(wa, wb) for wa, wb in zip(a, b))
 
     def test_drawn_in_blocks_as_one_draw(self, monkeypatch):
-        # 7 models drawn 3 at a time: each weight holds what one N(0, 0.1)
-        # draw of it gives, in the order w1, w2, w3, and a range its rows.
+        # Models drawn 3 at a time: each weight holds what one N(0, 0.1)
+        # draw of it gives, in the order w1, w2, w3.
         monkeypatch.setattr(structnet, "_BLOCK", 3)
         cfg = TrainConfig(n_h1=5, n_h2=6)
-        rng = np.random.default_rng(38)
-        want = [rng.normal(0.0, 0.1, (7,) + shape) for shape in ((5, 4), (6, 5), (2, 6))]
-        for lo, hi in ((0, 7), (2, 5), (4, 7), (0, 1), (3, 3)):
-            got = _init_mlp(np.random.default_rng(38), 7, 4, cfg, lo=lo, hi=hi)
+        for n_models in (7, 6, 1, 0):
+            rng = np.random.default_rng(38)
+            want = [rng.normal(0.0, 0.1, (n_models,) + shape)
+                    for shape in ((5, 4), (6, 5), (2, 6))]
+            got = _init_mlp(np.random.default_rng(38), n_models, 4, cfg)
             for w, v in zip(got[::2], want):
-                assert w.tobytes() == v[lo:hi].tobytes(), (lo, hi)
-            assert all(b.shape[0] == hi - lo and not b.any() for b in got[1::2])
+                assert w.tobytes() == v.tobytes(), n_models
+            assert all(b.shape[0] == n_models and not b.any() for b in got[1::2])
 
     @pytest.mark.parametrize("order", [IilOrder.DESCENDING_STRENGTH, IilOrder.GIVEN_ORDER])
     def test_batched_init_orders_each_subcarrier(self, order):
@@ -614,7 +615,7 @@ class TestEstimateChannel:
         y_p, x_p = self._pilots(spec, 42)
         cfg = TrainConfig(epochs=1, iil_order=order)
         batch = self._captured_batch(monkeypatch, y_p, x_p, cfg, 43)
-        got = batch.rows(0, batch.n_models)
+        got = batch.rows(0, batch.n_streams)
         labels, anchor, interference, mlp, lam, y = self._stacked_streams(y_p, x_p, cfg, 43)
         want = _BatchTrainer(np.zeros_like(anchor), interference, mlp, labels, lam, y, cfg,
                              dtype=np.float32)
@@ -626,8 +627,8 @@ class TestEstimateChannel:
 
     @pytest.mark.parametrize("block", [3, 256])
     def test_part_rows_are_the_stacked_streams_rows(self, monkeypatch, block):
-        # 2x2 at 8 subcarriers: 4 streams of 8 models.  The ranges cut
-        # streams 0 and 1; at block 3 the MLP draws are cut inside ranges too.
+        # 2x2 at 8 subcarriers: 4 streams of 8 models, in ranges of one and
+        # two streams.  At block 3 the MLP draws are cut inside streams.
         monkeypatch.setattr(structnet, "_BLOCK", block)
         y_p, x_p = self._pilots(SubframeSpec(n_sc=8), 46)
         cfg = TrainConfig(epochs=1)
@@ -635,12 +636,12 @@ class TestEstimateChannel:
         labels, anchor, interference, mlp, lam, y = self._stacked_streams(y_p, x_p, cfg, 47)
         want = _BatchTrainer(np.zeros_like(anchor), interference, mlp, labels, lam, y, cfg,
                              dtype=np.float32)
-        for lo, hi in ((0, 5), (5, 13), (13, 32)):
-            got = batch.rows(lo, hi)
+        for first, last in ((0, 1), (1, 3), (3, 4)):
+            got = batch.rows(first, last)
             for name in structnet._PER_MODEL:
-                a, b = getattr(got, name), getattr(want, name)[lo:hi]
-                assert (a.dtype, a.shape) == (b.dtype, b.shape), (lo, name)
-                assert a.tobytes() == b.tobytes(), (lo, name)
+                a, b = getattr(got, name), getattr(want, name)[8 * first:8 * last]
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (first, name)
+                assert a.tobytes() == b.tobytes(), (first, name)
             assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_batch_built_without_float64_staging(self, monkeypatch):
@@ -653,7 +654,7 @@ class TestEstimateChannel:
         tracemalloc.start()
         try:
             batch = self._captured_batch(monkeypatch, y_p, x_p, TrainConfig(epochs=1), 45)
-            trainer = batch.rows(0, batch.n_models)
+            trainer = batch.rows(0, batch.n_streams)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -662,7 +663,7 @@ class TestEstimateChannel:
         assert peak < 2 * trainer_bytes
 
     def test_caller_holds_only_its_own_part(self, monkeypatch):
-        # 2x2 at 256 subcarriers in two parts of 512 models.  The caller
+        # 2x2 at 256 subcarriers in two parts of two streams, 512 models.  The caller
         # builds and trains only its part, a block at a time, and receives
         # the other part's desired weights alone: its peak read 2.4 times its
         # part's bytes.  Holding the whole batch and a pickled copy of the
@@ -684,7 +685,7 @@ class TestEstimateChannel:
         finally:
             structnet._close_workers()
         batch = self._captured_batch(monkeypatch, y_p, x_p, cfg, 49)
-        part = batch.rows(0, batch.n_models // 2)
+        part = batch.rows(0, batch.n_streams // 2)
         part_bytes = sum(getattr(part, name).nbytes for name in structnet._PER_MODEL)
         assert peak < 3 * part_bytes
 
@@ -962,17 +963,18 @@ def _alive(pid: int) -> bool:
 @dataclass
 class _TrainerBatch:
     """A stand-in for a learner batch (`structnet._Batch`) over the models of
-    `_batch_trainer(kind, 7, update_interference, dtype=dtype)`: `train`
-    trains rows [lo, hi) of that trainer for 3 epochs."""
+    `_batch_trainer(kind, 7, update_interference, dtype=dtype)`, each model a
+    stream of its own: `train` trains rows [first, last) of that trainer for
+    3 epochs."""
 
     kind: IilKind
     update_interference: bool
     dtype: type
-    n_models: int = 7
+    n_streams: int = 7
 
-    def train(self, lo, hi, stop=None):
-        part = _batch_trainer(self.kind, self.n_models, self.update_interference,
-                              dtype=self.dtype).part(lo, hi)
+    def train(self, first, last, stop=None):
+        part = _batch_trainer(self.kind, self.n_streams, self.update_interference,
+                              dtype=self.dtype).part(first, last)
         part.run_epochs(3, stop)
         return part.desired
 
@@ -1024,71 +1026,71 @@ class TestParallelParts:
         assert parts.dtype == whole.desired.dtype
         assert parts.tobytes() == whole.desired.tobytes()
 
-    # 8 models in 4 streams of 2: at 7 parts one or two models per part, in
+    # 8 models in 4 streams of 2: at 7 parts one stream or none per part, in
     # six workers, more than a 2-core machine has cores.
     @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
     def test_more_workers_than_cores(self, monkeypatch, kind):
         batch = _learner_batch(kind=kind)
-        whole = batch.train(0, batch.n_models)
+        whole = batch.train(0, batch.n_streams)
         for _ in range(2):  # the second call reuses the six workers
             assert structnet._train_in_parts(batch, 7).tobytes() == whole.tobytes()
             assert len(structnet._WORKERS.procs) == 6  # one per part after the first
 
     @pytest.mark.parametrize("kind", [IilKind.MODULO, IilKind.SHIFTING])
     def test_estimate_same_in_one_and_two_parts(self, monkeypatch, kind):
-        y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 26)
-        cfg = TrainConfig(epochs=4, iil_kind=kind)
-        got = {}
-        # 8 subcarriers of 2x2 are 32 models: 3 and 7 parts cut streams, and
-        # in 33 parts the first is empty.
-        for n_parts in (1, 2, 3, 7, 33):
-            monkeypatch.setattr(structnet, "_n_parts", lambda batch, n=n_parts: n)
-            got[n_parts] = estimate_channel_structnet(y_p, x_p, cfg, 27)
-        for n_parts in (2, 3, 7, 33):
-            assert got[n_parts].tobytes() == got[1].tobytes(), n_parts
+        # Every part count from 1 to 2*N_t: at N_t = 2, 3 parts split 4
+        # streams unevenly.  The 3x3 shifting layer takes a 3^5-point grid.
+        for n_tx in (1, 2, 3):
+            spec = SubframeSpec(n_sc=8, n_tx=n_tx, n_pilot=n_tx)
+            y_p, x_p = TestEstimateChannel._pilots(spec, 26)
+            cfg = TrainConfig(epochs=4, iil_kind=kind, iil_window=1 if n_tx == 3 else 3)
+            got = {}
+            for n_parts in range(1, 2 * n_tx + 1):
+                monkeypatch.setattr(structnet, "_n_parts", lambda batch, n=n_parts: n)
+                got[n_parts] = estimate_channel_structnet(y_p, x_p, cfg, 27)
+            for n_parts in range(2, 2 * n_tx + 1):
+                assert got[n_parts].tobytes() == got[1].tobytes(), (n_tx, n_parts)
 
     def test_part_count(self, monkeypatch):
-        monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(8)))
-
-        def n_parts(n_sc, epochs, kind=IilKind.MODULO):
-            y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=n_sc), 28)
+        def n_parts(cores, n_tx=2, epochs=200, kind=IilKind.MODULO):
+            monkeypatch.setattr(structnet.os, "sched_getaffinity",
+                                lambda pid: set(range(cores)))
+            spec = SubframeSpec(n_sc=16, n_tx=n_tx, n_pilot=n_tx)
+            y_p, x_p = TestEstimateChannel._pilots(spec, 28)
             seen = []
             monkeypatch.setattr(structnet, "_train_in_parts",
                                 lambda batch, n: seen.append(n) or 0.0)
             estimate_channel_structnet(y_p, x_p, TrainConfig(epochs=epochs, iil_kind=kind), 29)
             return seen[0]
 
-        # 2x2, 4 samples per model: 16 (model, sample) pairs per subcarrier.
-        assert n_parts(16, 5) == 1  # c13: 1280 units
-        assert n_parts(64, 8) == 1  # 8192 units
-        assert n_parts(64, 16) == 2
-        assert n_parts(64, 24) == 3
-        assert n_parts(64, 200) == 8  # c06 and structnet-modulo-64: 204800 units
-        assert n_parts(8, 1, IilKind.SHIFTING) == 5  # 128 pairs x 343 grid points
-        monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert n_parts(8, 8, IilKind.SHIFTING) == 32  # work for 42 parts, but 32 models
-        monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(2)))
-        assert n_parts(64, 200) == 2
-        monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: {0})
-        assert n_parts(64, 200) == 1
+        # One part per core, at most one per realized stream (2*N_t), for any
+        # amount of work.
+        assert n_parts(8) == 4
+        assert n_parts(8, epochs=1, kind=IilKind.SHIFTING) == 4
+        assert n_parts(8, n_tx=1) == 2
+        assert n_parts(8, n_tx=3) == 6
+        assert n_parts(2) == 2
+        assert n_parts(2, epochs=1) == 2
+        assert n_parts(1) == 1
+        monkeypatch.delattr(structnet.os, "fork")
+        assert n_parts(8) == 1
 
     def test_part_count_without_affinity(self, monkeypatch):
         # Platforms without sched_getaffinity count the machine's cores.
         monkeypatch.delattr(structnet.os, "sched_getaffinity")
-        batch = _learner_batch(n_sc=16)  # 64 models x 4 samples x 27 points
-        for cpus, epochs, want in ((3, 200, 3), (None, 200, 1), (3, 1, 1)):
-            batch.cfg = TrainConfig(epochs=epochs, iil_kind=IilKind.SHIFTING, iil_window=1)
+        batch = _learner_batch(n_sc=16)  # 4 streams
+        for cpus, want in ((3, 3), (None, 1), (8, 4)):
             monkeypatch.setattr(structnet.os, "cpu_count", lambda cpus=cpus: cpus)
             assert structnet._n_parts(batch) == want
 
     def test_one_part_without_fork(self, monkeypatch):
         monkeypatch.setattr(structnet.os, "sched_getaffinity", lambda pid: set(range(2)))
-        batch = _learner_batch(n_sc=16, epochs=200)  # 51200 units
+        batch = _learner_batch(n_sc=16, epochs=200)
         assert structnet._n_parts(batch) == 2
         monkeypatch.delattr(structnet.os, "fork")
         assert structnet._n_parts(batch) == 1
         y_p, x_p = TestEstimateChannel._pilots(SubframeSpec(n_sc=8), 26)
-        cfg = TrainConfig(epochs=4, iil_kind=IilKind.SHIFTING)  # 175616 units
+        cfg = TrainConfig(epochs=4, iil_kind=IilKind.SHIFTING)
         estimate_channel_structnet(y_p, x_p, cfg, 27)
         assert structnet._WORKERS.procs == []
 
