@@ -30,7 +30,8 @@ class ResourceLimitError(CelabError):
 
 
 class DegenerateRatioError(CelabError):
-    """A classifier output contained a zero probability, making a ratio undefined."""
+    """A classifier output contained a zero or non-finite probability, making a
+    ratio undefined."""
 
 
 class ConfigError(CelabError):

@@ -203,7 +203,7 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOError(f"cannot read config file {path}: {exc}") from exc
     items = {}
     for lineno, raw in enumerate(lines, start=1):

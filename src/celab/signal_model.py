@@ -70,12 +70,6 @@ def build_constellation(order: int) -> Constellation:
     )
 
 
-def _gray_to_index(c: Constellation) -> np.ndarray:
-    inv = np.empty(len(c.gray_codes), dtype=int)
-    inv[c.gray_codes] = np.arange(len(c.gray_codes))
-    return inv
-
-
 def _bits_to_words(bits: np.ndarray, width: int) -> np.ndarray:
     """Pack groups of `width` bits (MSB first) into integers."""
     bits = bits.reshape(-1, width)
@@ -84,10 +78,9 @@ def _bits_to_words(bits: np.ndarray, width: int) -> np.ndarray:
 
 
 def modulate_bits(bits, c: Constellation) -> np.ndarray:
-    """Map a bit sequence to QAM symbols, Gray-coded per PAM axis.
-
-    The first half of each symbol's bits selects the real-axis level, the
-    second half the imaginary-axis level.
+    """Map a bit sequence to QAM symbols, Gray-coded per PAM axis: each
+    symbol's bits are the `point_bits` row of its point, whose first half
+    selects the real-axis level and second half the imaginary-axis level.
     """
     bits = np.asarray(bits, dtype=int).ravel()
     k = c.bits_per_symbol
@@ -95,12 +88,9 @@ def modulate_bits(bits, c: Constellation) -> np.ndarray:
         raise InvalidArgumentError(
             f"bit count {bits.size} not divisible by {k} bits/symbol"
         )
-    inv = _gray_to_index(c)
-    ka = c.bits_per_axis
-    grouped = bits.reshape(-1, k)
-    re_idx = inv[_bits_to_words(grouped[:, :ka], ka)]
-    im_idx = inv[_bits_to_words(grouped[:, ka:], ka)]
-    return c.pam_levels[re_idx] + 1j * c.pam_levels[im_idx]
+    point = np.empty(c.order, dtype=int)  # point[word] = index of the point carrying it
+    point[_bits_to_words(c.point_bits, k)] = np.arange(c.order)
+    return c.points[point[_bits_to_words(bits, k)]]
 
 
 def demodulate_hard(syms, c: Constellation) -> np.ndarray:

@@ -37,12 +37,15 @@ one per stream (`_n_parts`): the first in the caller, each other in a
 worker process of its own (`_train_in_parts`).  No process holds the whole
 batch.  The caller sends a worker, through a pipe, the subframe's inputs
 (`_Batch`: pilots, LS estimate, config and stream seeds, ~200 KB at 1024
-subcarriers) and the part's stream range; the worker builds those streams,
-trains them and replies with their desired weights, which the caller
-gathers.  Each stream's models are drawn from its own seed, so the numbers
-are bit for bit those of the whole batch in one process.  A batch thus uses
-at most 2*N_t cores: a 2x2 batch on an 8-core machine trains in 4 parts.
-`harness.bench_iil` trains in one part.
+subcarriers) and the part's stream range.  One function, `_train_part`,
+trains every part, in the caller or a worker: it builds the part's streams,
+trains them and returns their desired weights, or the exception training
+raised; a worker sends that as its reply, which the caller gathers.  A
+one-part batch takes the same path and forks no worker.  Each stream's
+models are drawn from its own seed, so the numbers are bit for bit those of
+the whole batch in one process.  A batch thus uses at most 2*N_t cores: a
+2x2 batch on an 8-core machine trains in 4 parts.  `harness.bench_iil`
+trains its own trainer in the caller.
 
 Blocks.  `run_epochs` trains `_BLOCK` = 256 models at a time, all epochs per
 block, so a block's gradients, weight copies and activations stay in the
@@ -209,6 +212,15 @@ def _init_mlp(rng, n_models: int, dim: int, cfg: TrainConfig, out=None) -> tuple
     return out
 
 
+def _columns(h_ls) -> np.ndarray:
+    """Every realized stream's channel column of h_ls (n_sc, N_r, N_t), as
+    (2*N_t, n_sc, D): stream i realifies antenna i % N_t's column
+    (`realify_channel_column`)."""
+    n_tx = h_ls.shape[2]
+    return np.stack([realify_channel_column(h_ls[:, :, i % n_tx], i, n_tx)
+                     for i in range(2 * n_tx)])
+
+
 def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng, mlp_out=None):
     """Initial weights of one realized stream's models, one per subcarrier.
 
@@ -219,14 +231,12 @@ def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng, mlp_out=None):
     cfg.iil_order on each subcarrier separately.  The MLP weights
     (`_init_mlp`) are written into `mlp_out` if it is given.
     """
-    n_sc, n_rx, n_tx = h_ls.shape
-    desired = realify_channel_column(h_ls[:, :, stream % n_tx], stream, n_tx)
-    interference = np.stack([realify_channel_column(h_ls[:, :, j % n_tx], j, n_tx)
-                             for j in range(2 * n_tx) if j != stream], axis=1)
+    columns = _columns(h_ls)  # (2*N_t, n_sc, D)
+    interference = np.delete(columns, stream, 0).swapaxes(0, 1)
     if cfg.iil_order is IilOrder.DESCENDING_STRENGTH:
         order = np.argsort(-np.sum(interference**2, axis=2), axis=1, kind="stable")
         interference = np.take_along_axis(interference, order[:, :, None], axis=1)
-    return desired, interference, _init_mlp(rng, n_sc, 2 * n_rx, cfg, mlp_out)
+    return columns[stream], interference, _init_mlp(rng, *columns.shape[1:], cfg, mlp_out)
 
 
 def _channel_layer(y, lam, h):
@@ -519,31 +529,30 @@ class _BatchTrainer:
             self.part(lo, lo + _BLOCK)._run_block(n_epochs, stop)
 
     def _run_block(self, n_epochs: int, stop) -> None:
-        """`run_epochs` on one block, with its MLP buffers bound meanwhile."""
+        """`run_epochs` on one block.  It runs on a `part` copy made for the
+        block, so the MLP buffers it binds (`_wt`, `_g`) go with that copy and
+        the trainer `run_epochs` was called on never holds them."""
         cfg = self.cfg
         # w1 and w2 transposed for the forward, and the one set of MLP gradients.
         self._wt = (_transposed(self.w1), _transposed(self.w2))
         self._g = {name: np.empty_like(getattr(self, name)) for name in _WEIGHTS[2:]}
-        try:
-            for epoch in range(n_epochs):
-                if stop is not None and stop[0]:
-                    return
-                fwd = self._forward()
-                for name, g in self._grads(fwd, channel=False).items():
-                    g *= cfg.lr_classifier  # then w -= g: the bits of w -= lr * g
-                    w = getattr(self, name)
-                    w -= g
-                for wt, w in zip(self._wt, (self.w1, self.w2)):
-                    np.copyto(wt, w.swapaxes(1, 2))
-                g = self._grads(fwd, mlp=False)
-                del fwd  # the next epoch's forward must not overlap this cache
-                self.desired -= cfg.lr_channel * g["desired"]
-                if cfg.update_interference:
-                    self.interference -= cfg.lr_channel * g["interference"]
-                if not (np.isfinite(self.desired).all() and np.isfinite(self.interference).all()):
-                    raise TrainingDivergenceError(f"non-finite channel weight in epoch {epoch + 1}")
-        finally:
-            self._wt = self._g = None
+        for epoch in range(n_epochs):
+            if stop is not None and stop[0]:
+                return
+            fwd = self._forward()
+            for name, g in self._grads(fwd, channel=False).items():
+                g *= cfg.lr_classifier  # then w -= g: the bits of w -= lr * g
+                w = getattr(self, name)
+                w -= g
+            for wt, w in zip(self._wt, (self.w1, self.w2)):
+                np.copyto(wt, w.swapaxes(1, 2))
+            g = self._grads(fwd, mlp=False)
+            del fwd  # the next epoch's forward must not overlap this cache
+            self.desired -= cfg.lr_channel * g["desired"]
+            if cfg.update_interference:
+                self.interference -= cfg.lr_channel * g["interference"]
+            if not (np.isfinite(self.desired).all() and np.isfinite(self.interference).all()):
+                raise TrainingDivergenceError(f"non-finite channel weight in epoch {epoch + 1}")
 
 
 def _cores() -> int:
@@ -586,9 +595,7 @@ class _Batch:
 
     def anchor(self) -> np.ndarray:
         """Every model's desired weights at the LS estimate, (n_models, D) float64."""
-        n_tx = self.x_p.shape[1]
-        return np.concatenate([realify_channel_column(self.h_ls[:, :, i % n_tx], i, n_tx)
-                               for i in range(2 * n_tx)])
+        return _columns(self.h_ls).reshape(self.n_models, -1)
 
     def rows(self, first: int, last: int) -> _BatchTrainer:
         """Streams [first, last), models [first*n_sc, last*n_sc), as a float32
@@ -633,10 +640,20 @@ def _n_parts(batch: _Batch) -> int:
     return min(_cores(), batch.n_streams) if hasattr(os, "fork") else 1
 
 
+def _train_part(batch: _Batch, first: int, last: int, stop):
+    """Streams [first, last) of the batch, built and trained (`batch.train`):
+    their desired weights, or the exception training raised, after setting
+    `stop[0]` so that the other parts stop before their next epoch."""
+    try:
+        return batch.train(first, last, stop)
+    except BaseException as exc:  # `_train_in_parts` raises it once every part has ended
+        stop[0] = 1
+        return exc
+
+
 def _serve(conn, stop: mmap.mmap) -> None:
-    """A worker's loop: build and train each part received as (batch, first,
-    last), and reply with its desired weights (`_Batch.train`) or with the
-    exception the part raised.  Returns once every copy of the caller's end
+    """A worker's loop: reply to each part received as (batch, first, last)
+    with `_train_part`'s result.  Returns once every copy of the caller's end
     of the connection is closed, as when the caller dies."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # `_Workers.close` ends the process
@@ -645,12 +662,7 @@ def _serve(conn, stop: mmap.mmap) -> None:
             batch, first, last = conn.recv()
         except EOFError:
             return
-        try:
-            reply = batch.train(first, last, stop)
-        except BaseException as exc:  # sent to the caller, which raises it
-            stop[0] = 1
-            reply = exc
-        conn.send(reply)
+        conn.send(_train_part(batch, first, last, stop))
 
 
 class _Workers:
@@ -711,42 +723,32 @@ atexit.register(_close_workers)
 
 
 def _train_in_parts(batch: _Batch, n_parts: int) -> np.ndarray:
-    """Train the batch as n_parts parts of whole streams: the first in the
-    caller, each other in a worker process of its own, each built where it
-    trains (`batch.train`).  Returns every model's trained
-    desired weights, (n_models, D), bit for bit those of the whole batch
-    trained in the caller.
+    """Train the batch as n_parts parts of whole streams (`_train_part`): the
+    first in the caller, each other in a worker process of its own, each
+    built where it trains.  Returns every model's trained desired weights,
+    (n_models, D), bit for bit those of the whole batch trained in the
+    caller.  One part forks no worker.
 
     An exception raised in any part is raised here, once every part has
-    ended; the other parts stop before their next epoch.
+    ended; the other parts stop before their next epoch.  The caller's part's
+    exception comes first, then the workers', in model order.
     """
-    if n_parts == 1:
-        return batch.train(0, batch.n_streams)
     bounds = [batch.n_streams * i // n_parts for i in range(n_parts + 1)]
-    changes, error = [], None  # the parts' desired weights, in model order
     with _WORKERS.lock:
         try:
             conns = _WORKERS.start(n_parts - 1)
             _WORKERS.stop[0] = 0
             for conn, first, last in zip(conns, bounds[1:], bounds[2:]):
                 conn.send((batch, first, last))
-            try:
-                changes.append(batch.train(0, bounds[1], _WORKERS.stop))
-            except BaseException as exc:  # raised below, once every part has ended
-                _WORKERS.stop[0] = 1
-                error = exc
-            for conn in conns:
-                reply = conn.recv()  # always read: an unread reply would answer the next call
-                if isinstance(reply, BaseException):
-                    error = error or reply
-                else:
-                    changes.append(reply)
+            # In model order.  Every reply is read: an unread one would answer the next call.
+            parts = [_train_part(batch, 0, bounds[1], _WORKERS.stop)] + [c.recv() for c in conns]
         except BaseException:
             _WORKERS.close()  # replies may still be on their way
             raise
-    if error is not None:
-        raise error
-    return np.concatenate(changes)
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    return np.concatenate(parts)
 
 
 def model_forward(model: StructNetModel, y_raw, shift: float, cfg=None) -> np.ndarray:
@@ -768,7 +770,8 @@ def detect_multinomial(model: StructNetModel, y, posterior=None) -> np.ndarray:
     """4-PAM class probabilities for (-3, -1, +1, +3) via the shifting chain.
 
     `posterior`, when given, replaces the IIL + classifier: it maps the
-    shifted received vector to the two binary-class probabilities.
+    shifted received vector to the two binary-class probabilities.  A
+    probability that is zero, NaN or infinite raises `DegenerateRatioError`.
     """
     if posterior is None:
         def posterior(z):
@@ -776,8 +779,8 @@ def detect_multinomial(model: StructNetModel, y, posterior=None) -> np.ndarray:
     ratios = []
     for shift in (2.0, 0.0, -2.0):
         p = np.asarray(posterior(channel_layer_forward(model, y, shift)), dtype=float)
-        if p[0] <= 0.0 or p[1] <= 0.0:
-            raise DegenerateRatioError("classifier produced a zero probability")
+        if not (0.0 < p[0] < np.inf and 0.0 < p[1] < np.inf):  # NaN fails both
+            raise DegenerateRatioError("classifier produced a zero or non-finite probability")
         ratios.append(p[0] / p[1])
     q1, q2, q3 = ratios
     raw = np.array([q1 * q2 * q3, q2 * q3, q3, 1.0])
@@ -803,7 +806,6 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed, h_ls=None) -> n
     """
     y_p = np.asarray(y_p, dtype=complex)   # (n_sc, N_r, N_p)
     x_p = np.asarray(x_p, dtype=complex)   # (n_sc, N_t, N_p)
-    n_sc = y_p.shape[0]
     n_tx = x_p.shape[1]
     if h_ls is None:
         h_ls = estimate_ls(y_p, x_p)       # (n_sc, N_r, N_t)
@@ -823,5 +825,4 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed, h_ls=None) -> n
 
     # (n_sc, N_r, N_t) from the 2*N_t per-stream weight sets, anchor + change.
     change = _train_in_parts(batch, _n_parts(batch)) if cfg.epochs > 0 else 0.0
-    desired = batch.anchor() + change
-    return complexify_channel([desired[i * n_sc:(i + 1) * n_sc] for i in range(2 * n_tx)])
+    return complexify_channel((batch.anchor() + change).reshape(2 * n_tx, len(y_p), -1))

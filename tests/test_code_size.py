@@ -1,6 +1,9 @@
 """The lab's code stays within its line budget.  A code line holds a token
 other than a comment and lies outside every module, class and function
-docstring, so prose neither costs nor earns lines."""
+docstring, so prose neither costs nor earns lines.
+
+`python tests/test_code_size.py` prints each module's code lines and the
+total against the budget."""
 
 import ast
 import io
@@ -61,7 +64,19 @@ def test_code_lines_are_counted():
     assert _code_lines(_SNIPPET) == 10
 
 
+def _counts() -> dict:
+    """{module file name: code lines} over src/celab."""
+    return {path.name: _code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def test_code_within_budget():
-    counts = {path.name: _code_lines(path.read_text(encoding="utf-8"))
-              for path in sorted(SRC.glob("*.py"))}
+    counts = _counts()
     assert sum(counts.values()) <= BUDGET, counts
+
+
+if __name__ == "__main__":
+    counts = _counts()
+    for name, lines in counts.items():
+        print(f"{name:<16} {lines:>5}")
+    print(f"{'total':<16} {sum(counts.values()):>5} of {BUDGET}")

@@ -397,6 +397,12 @@ class TestCli:
         assert cli.main(["run", "--config", cfg_path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_not_utf8_is_diagnosed(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_bytes(b"\xffn_sc=16\n")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+
     def test_negative_seed_override_is_diagnosed(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, SMALL)
         out = str(tmp_path / "a.csv")

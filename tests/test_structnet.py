@@ -384,8 +384,10 @@ class TestDetectMultinomial:
     def test_degenerate_ratio(self):
         rng = np.random.default_rng(13)
         model = _model(rng)
-        with pytest.raises(DegenerateRatioError):
-            detect_multinomial(model, np.zeros(4), posterior=lambda z: (0.0, 1.0))
+        # A zero, NaN or infinite probability leaves a ratio undefined.
+        for probs in [(0.0, 1.0), (np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (0.5, -np.inf)]:
+            with pytest.raises(DegenerateRatioError):
+                detect_multinomial(model, np.zeros(4), posterior=lambda z, probs=probs: probs)
 
     @pytest.mark.parametrize("cfg", [None, TrainConfig(iil_kind=IilKind.SHIFTING)],
                              ids=["modulo", "shifting"])
@@ -1094,7 +1096,8 @@ class TestParallelParts:
         estimate_channel_structnet(y_p, x_p, cfg, 27)
         assert structnet._WORKERS.procs == []
 
-    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    # With both failing, the caller's part's exception is the one raised.
+    @pytest.mark.parametrize("failing", ["caller", "worker", "both"])
     def test_part_exception_raised_in_caller(self, monkeypatch, failing):
         run_epochs = _BatchTrainer.run_epochs
         caller = os.getpid()
@@ -1102,12 +1105,14 @@ class TestParallelParts:
         fail[0] = 1
 
         def run_or_fail(self, n_epochs, stop=None):
-            if fail[0] and (os.getpid() == caller) == (failing == "caller"):
-                raise RuntimeError(f"{failing} part failed")
+            where = "caller" if os.getpid() == caller else "worker"
+            if fail[0] and failing in (where, "both"):
+                raise RuntimeError(f"{where} part failed")
             run_epochs(self, n_epochs, stop)
 
         monkeypatch.setattr(_BatchTrainer, "run_epochs", run_or_fail)
-        with pytest.raises(RuntimeError, match=f"^{failing} part failed$"):
+        raised = "caller" if failing == "both" else failing
+        with pytest.raises(RuntimeError, match=f"^{raised} part failed$"):
             structnet._train_in_parts(_learner_batch(epochs=2), 3)
         # The workers outlive a part's exception and train the next batch.
         workers = list(structnet._WORKERS.procs)
