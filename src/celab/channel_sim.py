@@ -87,15 +87,11 @@ def sample_channel(pdp: PowerDelayProfile, spec: SubframeSpec, seed) -> ChannelR
 
 
 def analytic_freq_correlation(pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
-    """R[k, l] = sum_p powers[p] * exp(-j 2 pi delay_p (k - l) / n_sc).
-
-    R is Toeplitz: r[d] is computed once per lag d in (-n_sc, n_sc) and
-    gathered as R[k, l] = r[k - l].
-    """
-    lags = np.arange(-(n_sc - 1), n_sc)
-    r = np.exp(-2j * np.pi * lags[:, None] * pdp.delays / n_sc) @ pdp.powers
-    k = np.arange(n_sc)
-    return r[k[:, None] - k[None, :] + (n_sc - 1)]
+    """R[k, l] = sum_p powers[p] * exp(-j 2 pi delay_p (k - l) / n_sc), built
+    as U diag(powers) U^H from `dft_vectors`: the U the simulator draws H with
+    and GenieLMMSE filters with."""
+    u = dft_vectors(pdp, n_sc)
+    return (u * pdp.powers) @ u.conj().T
 
 
 def apply_channel(x: TransmitGrid, h: ChannelRealization, noise: NoiseSpec, seed) -> np.ndarray:

@@ -70,6 +70,10 @@ def estimate_ls(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
 
     Also accepts stacked inputs [n_sc x N_r x N_p] / [n_sc x N_t x N_p].
     The Gram matrix passes `checked_inverse`; LAPACK solves for the estimate.
+    Multiplying by the checked inverse instead moves the estimate by a few ulp,
+    which leaves the baselines' rows as they are but moves the learner's,
+    which starts from LS (64 subcarriers, 200 modulo epochs, seed 7, 5
+    subframes: MSE 0.2484405596 -> 0.2484313722 at 10 dB), so the solve stays.
     """
     y_p = np.asarray(y_p, dtype=complex)
     x_p = np.asarray(x_p, dtype=complex)
@@ -99,6 +103,11 @@ class FactoredCorr:
             raise InvalidArgumentError("correlation matrix must be Hermitian")
         return cls(0.0, np.eye(r_hh.shape[0], dtype=complex), r_hh)
 
+    @classmethod
+    def identity(cls, n: int) -> "FactoredCorr":
+        """The n x n identity as 1*I with no columns."""
+        return cls(1.0, np.zeros((n, 0), dtype=complex), np.zeros((0, 0), dtype=complex))
+
     @property
     def shape(self) -> tuple:
         """(n, n), the shape of the matrix it stands for."""
@@ -121,12 +130,11 @@ def lmmse_filter(r_hh, sigma_eff2: float):
     factored = r_hh if isinstance(r_hh, FactoredCorr) else FactoredCorr.from_dense(r_hh)
     if sigma_eff2 < 0:
         raise InvalidArgumentError("noise variance must be >= 0")
-    n, k = factored.u.shape
     if sigma_eff2 == 0:
-        filt = FactoredCorr(1.0, np.zeros((n, 0), dtype=complex), np.zeros((0, 0), dtype=complex))
+        filt = FactoredCorr.identity(factored.u.shape[0])
     else:
         b = factored.a + sigma_eff2
-        m = b * np.eye(k) + (factored.u.conj().T @ factored.u) @ factored.w
+        m = b * np.eye(factored.u.shape[1]) + (factored.u.conj().T @ factored.u) @ factored.w
         # W M^-1 as (M^-H W^H)^H.
         w_m = np.linalg.solve(m.conj().T, factored.w.conj().T).conj().T
         filt = FactoredCorr(factored.a / b, factored.u, (sigma_eff2 / b) * w_m)
@@ -151,9 +159,7 @@ class EmLmmseState:
 
     @classmethod
     def initial(cls, n_sc: int, window: int = 100) -> "EmLmmseState":
-        empty = FactoredCorr(1.0, np.zeros((n_sc, 0), dtype=complex),
-                             np.zeros((0, 0), dtype=complex))
-        return cls(factored=empty, subframes_seen=0, window=window)
+        return cls(factored=FactoredCorr.identity(n_sc), subframes_seen=0, window=window)
 
     @property
     def corr(self) -> np.ndarray:

@@ -43,7 +43,7 @@ def _em_estimate(states, cell):
 class _Cell(typing.NamedTuple):
     """What an estimator sees of one (subframe, SNR) cell."""
     h: np.ndarray          # true frequency response (n_sc, N_r, N_t)
-    h_ls: np.ndarray       # the shared LS estimate; None when no method starts from it
+    h_ls: np.ndarray       # the shared LS estimate; None until a method starting from it runs
     y_p: np.ndarray        # received pilots (n_sc, N_r, N_p)
     pilots: np.ndarray     # transmitted pilots (n_sc, N_t, N_p)
     sigma2: float
@@ -54,8 +54,9 @@ class _Cell(typing.NamedTuple):
 
 # {name: (per-SNR state init or None, estimate, starts from LS)}.  An init
 # maps (spec, pdp, sigma2, e_s) to the state its estimate gets with each
-# cell of that SNR; the shared LS estimate's time counts toward every method
-# that starts from it.  Estimators are looked up in their modules per call.
+# cell of that SNR.  The first method of a cell that starts from LS computes
+# the shared LS estimate, and its time counts toward every method that
+# starts from it.  Estimators are looked up in their modules per call.
 _METHODS = {
     "LS": (None, lambda state, cell: cell.h_ls, True),
     "GenieLMMSE": (_genie_filter, lambda filt, cell: (
@@ -227,7 +228,8 @@ def run_sweep(cfg: ExperimentConfig):
 
     A method that raises a `CelabError` in a cell stops at that SNR: its row
     reads NaN, and one `RuntimeWarning` names the method, the SNR, the
-    subframe and the error.
+    subframe and the error.  A failing LS estimate fails every method that
+    starts from it, each in its own cell, and no other.
     """
     spec = cfg.spec
     const, pdp, sigma2s = _sweep_setup(cfg)
@@ -236,7 +238,6 @@ def run_sweep(cfg: ExperimentConfig):
     states = {(m, i): init(spec, pdp, s2, e_s)
               for m, init, _, _ in methods if init is not None
               for i, s2 in enumerate(sigma2s)}
-    need_ls = any(from_ls for *_, from_ls in methods)
 
     acc = {
         (m, i): {"mse": 0.0, "errors": 0, "bits": 0, "time": 0.0, "failed": False}
@@ -255,12 +256,8 @@ def run_sweep(cfg: ExperimentConfig):
                                           seeds[2 + 2 * i])
             y_p = y[:, :, :spec.n_pilot]
             y_d = y[:, :, spec.n_pilot:]
-            h_ls, ls_time = None, 0.0
-            if need_ls:
-                t0 = time.perf_counter()
-                h_ls = estimators.estimate_ls(y_p, grid.pilots)
-                ls_time = time.perf_counter() - t0
-            cell = _Cell(h.freq_response, h_ls, y_p, grid.pilots, sigma2, e_s, cfg.train,
+            ls_time = 0.0
+            cell = _Cell(h.freq_response, None, y_p, grid.pilots, sigma2, e_s, cfg.train,
                          seeds[3 + 2 * i])
 
             for method, _, estimate, from_ls in methods:
@@ -268,6 +265,10 @@ def run_sweep(cfg: ExperimentConfig):
                 if slot["failed"]:
                     continue
                 try:
+                    if from_ls and cell.h_ls is None:
+                        t0 = time.perf_counter()
+                        cell = cell._replace(h_ls=estimators.estimate_ls(y_p, grid.pilots))
+                        ls_time = time.perf_counter() - t0
                     t0 = time.perf_counter()
                     est = estimate(states.get((method, i)), cell)
                     slot["time"] += time.perf_counter() - t0

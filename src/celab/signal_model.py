@@ -34,16 +34,11 @@ class Constellation:
     pam_levels: np.ndarray        # ordered, e.g. [-3, -1, +1, +3]
     points: np.ndarray            # all order complex points
     avg_energy: float
-    gray_codes: np.ndarray        # gray_codes[k] = bit word of pam_levels[k]
     point_bits: np.ndarray        # point_bits[p] = bits of points[p], real-axis word first
 
     @property
     def bits_per_symbol(self) -> int:
         return int(round(math.log2(self.order)))
-
-    @property
-    def bits_per_axis(self) -> int:
-        return self.bits_per_symbol // 2
 
 
 def build_constellation(order: int) -> Constellation:
@@ -65,7 +60,6 @@ def build_constellation(order: int) -> Constellation:
         pam_levels=levels,
         points=points,
         avg_energy=avg_energy,
-        gray_codes=gray,
         point_bits=point_bits,
     )
 
@@ -138,14 +132,9 @@ def complexify_channel(desired_weights) -> np.ndarray:
     if d % 2 != 0 or any(v.shape[-1] != d for v in vecs):
         raise InvalidArgumentError("stream vectors must share an even length 2*N_r")
     n_rx = d // 2
-    cols = []
-    for t in range(n_tx):
-        v = vecs[t]
-        w = vecs[t + n_tx]
-        h_direct = v[..., :n_rx] + 1j * v[..., n_rx:]
-        h_rotated = w[..., n_rx:] - 1j * w[..., :n_rx]
-        cols.append((h_direct + h_rotated) / 2.0)
-    return np.stack(cols, axis=-1)
+    v, w = np.stack(vecs[:n_tx]), np.stack(vecs[n_tx:])
+    h = ((v[..., :n_rx] + 1j * v[..., n_rx:]) + (w[..., n_rx:] - 1j * w[..., :n_rx])) / 2.0
+    return np.ascontiguousarray(np.moveaxis(h, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -194,7 +183,10 @@ def generate_pilot_grid(spec: SubframeSpec, c: Constellation, seed) -> np.ndarra
     """Random QAM pilot grid [n_sc x n_tx x n_pilot] for the given pattern.
 
     Non-orthogonal grids are redrawn per subcarrier until the pilot Gram
-    matrix X_p X_p* satisfies sigma_min >= PILOT_COND_GUARD * sigma_max.
+    matrix X_p X_p* satisfies sigma_min >= PILOT_COND_GUARD * sigma_max over
+    its min(n_tx, n_pilot) largest singular values.  With n_pilot < n_tx the
+    Gram is singular and the guard promises nothing: LS then fails its
+    conditioning check.
     """
     rng = np.random.default_rng(seed)
     pilots = np.zeros((spec.n_sc, spec.n_tx, spec.n_pilot), dtype=complex)

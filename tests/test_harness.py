@@ -293,6 +293,21 @@ class TestRunSweep:
         assert math.isnan(rows["PerfectCSI"].mse) and math.isnan(rows["PerfectCSI"].ber)
         assert math.isfinite(rows["LS"].mse) and math.isfinite(rows["LS"].ber)
 
+    def test_ls_failure_fails_only_the_methods_that_start_from_it(self):
+        # One pilot slot for two antennas: the pilot Gram is singular, so LS
+        # fails in every cell, and so does GenieLMMSE, which filters it.
+        cfg = config_from_items({"n_sc": "8", "n_subframes": "2", "snr_db": "10",
+                                 "n_pilot": "1", "methods": "LS,GenieLMMSE,PerfectCSI"})
+        with pytest.warns(RuntimeWarning) as record:
+            rows = {r.method: r for r in run_sweep(cfg)}
+        assert [str(w.message) for w in record] == [
+            f"{method} at 10 dB failed on subframe 0: "
+            "NumericalFailureError: pilot Gram matrix ill-conditioned (cond=inf)"
+            for method in ("LS", "GenieLMMSE")]
+        for method in ("LS", "GenieLMMSE"):
+            assert math.isnan(rows[method].mse) and math.isnan(rows[method].ber)
+        assert rows["PerfectCSI"].mse == 0.0 and math.isfinite(rows["PerfectCSI"].ber)
+
 
 class TestCsv:
     def test_empty_rows_header_only(self, tmp_path):

@@ -41,8 +41,11 @@ class TestConstellation:
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_gray_adjacency(self, order):
         c = build_constellation(order)
-        for a, b in zip(c.gray_codes[:-1], c.gray_codes[1:]):
-            assert bin(a ^ b).count("1") == 1
+        m = len(c.pam_levels)
+        bits = c.point_bits.reshape(m, m, -1)  # [real level, imaginary level, bit]
+        for axis in (0, 1):
+            flips = np.diff(bits, axis=axis) != 0
+            assert np.all(flips.sum(axis=-1) == 1)
 
 
 class TestModulation:
@@ -85,10 +88,12 @@ class TestModulation:
 def _searchsorted_demap(syms, c):
     """The demapper the boundary count replaced: np.searchsorted per axis."""
     syms = np.asarray(syms, dtype=complex).ravel()
-    ka = c.bits_per_axis
+    ka = c.bits_per_symbol // 2
+    k = np.arange(len(c.pam_levels))
+    gray = k ^ (k >> 1)  # binary-reflected Gray code of each level
     boundaries = (c.pam_levels[:-1] + c.pam_levels[1:]) / 2.0
     shifts = np.arange(ka - 1, -1, -1)
-    bits = [((c.gray_codes[np.searchsorted(boundaries, v, side="left")][:, None] >> shifts) & 1)
+    bits = [((gray[np.searchsorted(boundaries, v, side="left")][:, None] >> shifts) & 1)
             for v in (syms.real, syms.imag)]
     return np.concatenate(bits, axis=1).reshape(-1)
 
@@ -168,6 +173,21 @@ class TestComplexify:
         h = rng.normal(size=(n_rx, n_tx)) + 1j * rng.normal(size=(n_rx, n_tx))
         streams = [realify_channel_column(h[:, i % n_tx], i, n_tx) for i in range(2 * n_tx)]
         assert np.allclose(complexify_channel(streams), h, atol=1e-14)
+
+    @pytest.mark.parametrize("n_tx", [1, 2, 3, 4])
+    def test_stack_has_the_per_antenna_bytes(self, n_tx):
+        # Column t = (direct reconstruction of stream t + de-rotated one of
+        # stream t + N_t) / 2, antenna by antenna.
+        rng = np.random.default_rng(10 + n_tx)
+        n_rx = 3
+        stack = rng.normal(size=(2 * n_tx, 20, 2 * n_rx))
+        want = np.stack([((v[..., :n_rx] + 1j * v[..., n_rx:])
+                          + (w[..., n_rx:] - 1j * w[..., :n_rx])) / 2.0
+                         for v, w in zip(stack[:n_tx], stack[n_tx:])], axis=-1)
+        got = complexify_channel(stack)
+        assert got.flags.c_contiguous
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):

@@ -189,6 +189,14 @@ class TestShiftingIil:
         g = shift_grid(2, 3)
         assert g.shape == (49, 2)
         assert g.min() == -3 and g.max() == 3
+        # Values, integer dtype and row order: the order sets the shifting
+        # layer's summation order.
+        for k in range(5):
+            for m in (1, 2, 3):
+                g = shift_grid(k, m)
+                want = np.array(list(itertools.product(range(-m, m + 1), repeat=k)), dtype=int)
+                assert g.dtype.kind == "i" and g.shape == want.shape
+                assert np.array_equal(g, want)
 
     def test_periodicity_error_is_boundary_terms(self):
         # Shifting by one period telescopes the truncated sum, so the change
