@@ -103,40 +103,6 @@ def realify_signal(y) -> np.ndarray:
     return np.concatenate([y.real, y.imag], axis=-1)
 
 
-def realify_channel_column(h, i: int, n_tx: int) -> np.ndarray:
-    """Real-valued desired/interference channel vector for realized stream i.
-
-    Streams [0, n_tx) are real-part streams ([Re; Im]); streams [n_tx, 2 n_tx)
-    are imaginary-part streams ([-Im; Re], the realification of j*h).
-    A batch of columns (..., N_r) gives vectors of shape (..., 2*N_r).
-    """
-    h = np.asarray(h, dtype=complex)
-    if not 0 <= i < 2 * n_tx:
-        raise InvalidArgumentError(f"stream index {i} out of range for n_tx={n_tx}")
-    if i < n_tx:
-        return np.concatenate([h.real, h.imag], axis=-1)
-    return np.concatenate([-h.imag, h.real], axis=-1)
-
-
-def complexify_channel(desired_weights) -> np.ndarray:
-    """Assemble an [N_r x N_t] complex channel from 2*N_t stream weight vectors.
-
-    Column t averages the direct reconstruction from stream t with the
-    de-rotated reconstruction from stream t + N_t.
-    """
-    vecs = [np.asarray(v, dtype=float) for v in desired_weights]
-    if len(vecs) % 2 != 0 or not vecs:
-        raise InvalidArgumentError("need an even, nonzero number of stream vectors")
-    n_tx = len(vecs) // 2
-    d = vecs[0].shape[-1]
-    if d % 2 != 0 or any(v.shape[-1] != d for v in vecs):
-        raise InvalidArgumentError("stream vectors must share an even length 2*N_r")
-    n_rx = d // 2
-    v, w = np.stack(vecs[:n_tx]), np.stack(vecs[n_tx:])
-    h = ((v[..., :n_rx] + 1j * v[..., n_rx:]) + (w[..., n_rx:] - 1j * w[..., :n_rx])) / 2.0
-    return np.ascontiguousarray(np.moveaxis(h, 0, -1))
-
-
 @dataclass(frozen=True)
 class SubframeSpec:
     """MIMO-OFDM subframe layout (block fading over n_sym OFDM symbols)."""
@@ -154,8 +120,8 @@ class SubframeSpec:
             raise InvalidArgumentError("subframe dimensions must be >= 1")
         if self.n_pilot >= self.n_sym:
             raise InvalidArgumentError("n_pilot must be < n_sym")
-        if self.pilot_pattern is PilotPattern.ORTHOGONAL and self.n_pilot < self.n_tx:
-            raise InvalidArgumentError("orthogonal pattern requires n_pilot >= n_tx")
+        if self.n_pilot < self.n_tx:
+            raise InvalidArgumentError("n_pilot must be >= n_tx")
 
     @property
     def n_data(self) -> int:
@@ -183,10 +149,8 @@ def generate_pilot_grid(spec: SubframeSpec, c: Constellation, seed) -> np.ndarra
     """Random QAM pilot grid [n_sc x n_tx x n_pilot] for the given pattern.
 
     Non-orthogonal grids are redrawn per subcarrier until the pilot Gram
-    matrix X_p X_p* satisfies sigma_min >= PILOT_COND_GUARD * sigma_max over
-    its min(n_tx, n_pilot) largest singular values.  With n_pilot < n_tx the
-    Gram is singular and the guard promises nothing: LS then fails its
-    conditioning check.
+    matrix X_p X_p* satisfies sigma_min >= PILOT_COND_GUARD * sigma_max.  It
+    can only when n_pilot >= n_tx, which `SubframeSpec` requires.
     """
     rng = np.random.default_rng(seed)
     pilots = np.zeros((spec.n_sc, spec.n_tx, spec.n_pilot), dtype=complex)

@@ -108,7 +108,7 @@ from .errors import (
     ResourceLimitError,
     TrainingDivergenceError,
 )
-from .signal_model import child_seeds, complexify_channel, realify_channel_column, realify_signal
+from .signal_model import child_seeds, realify_signal
 from .estimators import estimate_ls
 
 # Bytes the shifting IIL's backward cache (G*B*S*D values) may take.  The
@@ -212,13 +212,25 @@ def _init_mlp(rng, n_models: int, dim: int, cfg: TrainConfig, out=None) -> tuple
     return out
 
 
-def _columns(h_ls) -> np.ndarray:
-    """Every realized stream's channel column of h_ls (n_sc, N_r, N_t), as
-    (2*N_t, n_sc, D): stream i realifies antenna i % N_t's column
-    (`realify_channel_column`)."""
-    n_tx = h_ls.shape[2]
-    return np.stack([realify_channel_column(h_ls[:, :, i % n_tx], i, n_tx)
-                     for i in range(2 * n_tx)])
+def _columns(h) -> np.ndarray:
+    """Every realized stream's channel column of h (n_sc, N_r, N_t), as
+    (2*N_t, n_sc, D), D = 2*N_r: the realified model's channel matrix.
+    Stream t < N_t carries the real PAM axis of antenna t, whose column
+    realifies to [Re; Im] (`realify_signal`); stream N_t + t carries its
+    imaginary axis, whose column is that of j*h, [-Im; Re]."""
+    h = np.moveaxis(h, -1, 0)
+    return np.concatenate([realify_signal(h), np.concatenate([-h.imag, h.real], axis=-1)])
+
+
+def _complexify(columns) -> np.ndarray:
+    """The inverse of `_columns`: (n_sc, N_r, N_t) complex, C-contiguous,
+    from a (2*N_t, n_sc, D) stack of stream columns.  Antenna t's column
+    averages the direct reconstruction from stream t with the de-rotated one
+    from stream N_t + t, so the two estimates of it each count half."""
+    n_tx, n_rx = len(columns) // 2, columns.shape[-1] // 2
+    v, w = columns[:n_tx], columns[n_tx:]
+    h = ((v[..., :n_rx] + 1j * v[..., n_rx:]) + (w[..., n_rx:] - 1j * w[..., :n_rx])) / 2.0
+    return np.ascontiguousarray(np.moveaxis(h, 0, -1))
 
 
 def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng, mlp_out=None):
@@ -603,19 +615,20 @@ class _Batch:
         desired weights hold the change from the anchor, 0; only the anchor
         and the channel layer's input at it, y + lambda * anchor, are formed
         in float64."""
-        n_sc, n_tx = self.x_p.shape[:2]
-        dim, f32, active = 2 * self.y_p.shape[1], np.float32, self.active
+        n_sc, dim, f32 = len(self.x_p), 2 * self.y_p.shape[1], np.float32
         n_models = (last - first) * n_sc
-        interference = np.empty((n_models, 2 * n_tx - 1, dim), f32)
+        interference = np.empty((n_models, self.n_streams - 1, dim), f32)
         mlp = tuple(np.empty((n_models,) + shape, f32) for shape in _mlp_shapes(dim, self.cfg))
         lam = np.empty((n_models, self.n_samples), f32)
         y = np.empty(lam.shape + (dim,), f32)
+        # Stream i's PAM pilot levels (n_sc, 2*N_t, N_p) and pilot slots, in `_columns`' order.
+        levels = np.concatenate([self.x_p.real, self.x_p.imag], axis=1)
+        active = np.tile(self.active, (2, 1))
         for i in range(first, last):
             rows = slice((i - first) * n_sc, (i - first + 1) * n_sc)
-            slots = np.flatnonzero(active[i % n_tx])
-            x = self.x_p[:, i % n_tx, slots]
+            slots = np.flatnonzero(active[i])
             y_real = realify_signal(np.transpose(self.y_p[:, :, slots], (0, 2, 1)))  # (n_sc, P, D)
-            _, lam_i, y_samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
+            _, lam_i, y_samples = _binary_samples(levels[:, i, slots], y_real)
             anchor, interference[rows], _ = _init_stream(
                 self.h_ls, i, self.cfg, np.random.default_rng(self.seeds[i]),
                 [w[rows] for w in mlp])
@@ -825,4 +838,4 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed, h_ls=None) -> n
 
     # (n_sc, N_r, N_t) from the 2*N_t per-stream weight sets, anchor + change.
     change = _train_in_parts(batch, _n_parts(batch)) if cfg.epochs > 0 else 0.0
-    return complexify_channel((batch.anchor() + change).reshape(2 * n_tx, len(y_p), -1))
+    return _complexify((batch.anchor() + change).reshape(2 * n_tx, len(y_p), -1))

@@ -1,8 +1,11 @@
-"""One SHA-256 per sweep config of its CSV rows, `wall_time_s` masked, for
-proving a refactor bit for bit: run it on two trees and compare the lines.
+"""Two SHA-256 digests per sweep config of its rows, `wall_time_s` masked,
+for proving a refactor bit for bit: run it on two trees and compare the lines.
 
     python tests/csv_digests.py
 
+The first digest hashes the CSV text `harness.write_csv` writes, whose floats
+carry 10 significant digits; the second hashes the same rows with every float
+written as `float.hex()`, so it sees a change in the last bit of any value.
 Each config runs twice: as is, where the learner trains in one part per core,
 and in one part, with `structnet._cores` patched to 1.  The lab is imported
 from the `src` beside this file.  Not a test module: pytest does not collect
@@ -12,6 +15,7 @@ it.
 import hashlib
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -40,20 +44,23 @@ CONFIGS = {
 }
 
 
-def digest(items: dict) -> str:
-    """SHA-256 of the sweep's CSV text with every `wall_time_s` cell masked."""
-    rows = harness.run_sweep(harness.config_from_items(items))
+def digests(rows) -> tuple:
+    """(text, bytes) SHA-256 hex digests of sweep rows with every `wall_time_s`
+    masked: of the CSV text, and of the rows with floats as `float.hex()`."""
+    names = [f.name for f in fields(harness.ResultRow)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
         harness.write_csv(rows, str(path))
-        lines = path.read_text(encoding="utf-8").splitlines()
-    column = lines[0].split(",").index("wall_time_s")
-    masked = [lines[0]]
-    for line in lines[1:]:
-        cells = line.split(",")
-        cells[column] = "-"
-        masked.append(",".join(cells))
-    return hashlib.sha256("\n".join(masked).encode()).hexdigest()
+        text = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    exact = [names] + [[v.hex() if isinstance(v, float) else str(v)
+                        for v in (getattr(r, name) for name in names)] for r in rows]
+    column = names.index("wall_time_s")
+    hashes = []
+    for table in (text, exact):
+        for cells in table[1:]:
+            cells[column] = "-"
+        hashes.append(hashlib.sha256("\n".join(map(",".join, table)).encode()).hexdigest())
+    return tuple(hashes)
 
 
 def main() -> None:
@@ -61,7 +68,8 @@ def main() -> None:
     for name, items in CONFIGS.items():
         for mode in ("as-is", "one-part"):
             structnet._cores = cores if mode == "as-is" else (lambda: 1)
-            print(f"{name:<16} {mode:<9} {digest(items)}", flush=True)
+            text, exact = digests(harness.run_sweep(harness.config_from_items(items)))
+            print(f"{name:<16} {mode:<9} {text} {exact}", flush=True)
     structnet._cores = cores
 
 

@@ -1,10 +1,17 @@
 import math
 from dataclasses import fields, is_dataclass, replace
 
+import csv_digests
+import numpy as np
 import pytest
 
-from celab import cli, harness
-from celab.errors import ConfigError, InvalidArgumentError, TrainingDivergenceError
+from celab import cli, estimators, harness
+from celab.errors import (
+    ConfigError,
+    InvalidArgumentError,
+    NumericalFailureError,
+    TrainingDivergenceError,
+)
 from celab.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -134,7 +141,7 @@ class TestParseConfig:
 
 # Every config key, a non-default value for it, and the field it sets.
 KEY_CASES = [
-    ("n_tx", "3", "spec.n_tx", 3),
+    ("n_tx", "1", "spec.n_tx", 1),
     ("n_rx", "3", "spec.n_rx", 3),
     ("n_sc", "32", "spec.n_sc", 32),
     ("n_sym", "10", "spec.n_sym", 10),
@@ -293,11 +300,14 @@ class TestRunSweep:
         assert math.isnan(rows["PerfectCSI"].mse) and math.isnan(rows["PerfectCSI"].ber)
         assert math.isfinite(rows["LS"].mse) and math.isfinite(rows["LS"].ber)
 
-    def test_ls_failure_fails_only_the_methods_that_start_from_it(self):
-        # One pilot slot for two antennas: the pilot Gram is singular, so LS
-        # fails in every cell, and so does GenieLMMSE, which filters it.
+    def test_ls_failure_fails_only_the_methods_that_start_from_it(self, monkeypatch):
+        # LS fails in every cell, and so does GenieLMMSE, which filters it.
+        def singular(y_p, x_p):
+            raise NumericalFailureError("pilot Gram matrix ill-conditioned (cond=inf)")
+
+        monkeypatch.setattr(estimators, "estimate_ls", singular)
         cfg = config_from_items({"n_sc": "8", "n_subframes": "2", "snr_db": "10",
-                                 "n_pilot": "1", "methods": "LS,GenieLMMSE,PerfectCSI"})
+                                 "methods": "LS,GenieLMMSE,PerfectCSI"})
         with pytest.warns(RuntimeWarning) as record:
             rows = {r.method: r for r in run_sweep(cfg)}
         assert [str(w.message) for w in record] == [
@@ -342,6 +352,17 @@ class TestCsv:
             write_csv([row, object()], str(path))
         assert path.read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_digests_see_the_last_bit(self):
+        # `tests/csv_digests.py`: a one-ulp change in one MSE moves the byte
+        # digest, not the 10-digit CSV one; wall times are masked in both.
+        rows = [ResultRow("LS", "nonorthogonal", 10.0, 0.24, 0.25, 5, 1.5, 7),
+                ResultRow("StructNetCE", "nonorthogonal", 20.0, 0.0246, 0.07, 5, 2.5, 7)]
+        moved = [rows[0], replace(rows[1], mse=float(np.nextafter(0.0246, 1.0)), wall_time_s=9.0)]
+        text, exact = csv_digests.digests(rows)
+        assert csv_digests.digests(moved)[0] == text
+        assert csv_digests.digests(moved)[1] != exact
+        assert csv_digests.digests([rows[0], replace(rows[1], wall_time_s=9.0)]) == (text, exact)
 
     def test_rows_round_trip_field_for_field(self, tmp_path):
         rows = [

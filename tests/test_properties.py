@@ -121,11 +121,10 @@ def _configs(draw):
     n_tx = draw(st.integers(1, 4))
     n_sym = draw(st.integers(2, 16))
     pattern = draw(st.sampled_from(PilotPattern))
-    low = n_tx if pattern is PilotPattern.ORTHOGONAL else 1
-    assume(low < n_sym)
+    assume(n_tx < n_sym)
     spec = SubframeSpec(n_tx=n_tx, n_rx=draw(st.integers(1, 4)),
                         n_sc=draw(st.integers(1, 64)), n_sym=n_sym,
-                        n_pilot=draw(st.integers(low, n_sym - 1)),
+                        n_pilot=draw(st.integers(n_tx, n_sym - 1)),
                         cp_len=draw(st.integers(0, 32)), pilot_pattern=pattern)
     train = TrainConfig(epochs=draw(st.integers(0, 500)), lr_classifier=draw(RATES),
                         lr_channel=draw(RATES), iil_kind=draw(st.sampled_from(IilKind)),

@@ -6,14 +6,13 @@ from celab.signal_model import (
     PilotPattern,
     SubframeSpec,
     build_constellation,
-    complexify_channel,
     demodulate_hard,
     generate_pilot_grid,
     generate_transmit_grid,
     modulate_bits,
-    realify_channel_column,
     realify_signal,
 )
+from celab.structnet import _columns, _complexify
 
 
 class TestConstellation:
@@ -131,18 +130,15 @@ class TestRealification:
         b = rng.normal(size=4) + 1j * rng.normal(size=4)
         assert np.allclose(realify_signal(a) + realify_signal(b), realify_signal(a + b))
 
+    # The realized streams' channel columns (`structnet._columns`): stream t
+    # realifies antenna t's column, stream N_t + t that of j times it.
     def test_channel_column_branches(self):
-        assert np.array_equal(realify_channel_column([1 + 2j], 0, 1), [1.0, 2.0])
-        assert np.array_equal(realify_channel_column([1 + 2j], 1, 1), [-2.0, 1.0])
+        assert np.array_equal(_columns(np.array([[[1 + 2j]]])), [[[1.0, 2.0]], [[-2.0, 1.0]]])
 
     def test_second_branch_is_rotation_by_j(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=3) + 1j * rng.normal(size=3)
-        assert np.allclose(realify_channel_column(h, 1, 1), realify_signal(1j * h))
-
-    def test_stream_index_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            realify_channel_column([1j], 2, 1)
+        assert np.allclose(_columns(h[None, :, None])[1, 0], realify_signal(1j * h))
 
     def test_realification_homomorphism(self):
         # realify(H x) = H_tilde x_tilde with columns from both stream branches.
@@ -150,29 +146,28 @@ class TestRealification:
         n_rx, n_tx = 3, 2
         h = rng.normal(size=(n_rx, n_tx)) + 1j * rng.normal(size=(n_rx, n_tx))
         x = rng.normal(size=n_tx) + 1j * rng.normal(size=n_tx)
-        cols = [realify_channel_column(h[:, i % n_tx], i, n_tx) for i in range(2 * n_tx)]
-        h_tilde = np.stack(cols, axis=1)
+        h_tilde = _columns(h[None])[:, 0].T
         x_tilde = np.concatenate([x.real, x.imag])
         assert np.allclose(realify_signal(h @ x), h_tilde @ x_tilde, atol=1e-12)
 
 
 class TestComplexify:
+    # The readout from the stream columns (`structnet._complexify`).
     def test_exact_inverse_pair(self):
-        out = complexify_channel([[1.0, 2.0], [-2.0, 1.0]])
-        assert np.allclose(out, [[1 + 2j]])
+        out = _complexify(np.array([[[1.0, 2.0]], [[-2.0, 1.0]]]))
+        assert np.allclose(out, [[[1 + 2j]]])
 
     def test_averages_the_two_reconstructions(self):
         # Stream 0 reconstructs 1+2j, stream 1 de-rotates to 1.2+2.2j;
         # the column is their average.
-        out = complexify_channel([[1.0, 2.0], [-2.2, 1.2]])
-        assert np.allclose(out, [[1.1 + 2.1j]])
+        out = _complexify(np.array([[[1.0, 2.0]], [[-2.2, 1.2]]]))
+        assert np.allclose(out, [[[1.1 + 2.1j]]])
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(4)
         n_rx, n_tx = 2, 3
         h = rng.normal(size=(n_rx, n_tx)) + 1j * rng.normal(size=(n_rx, n_tx))
-        streams = [realify_channel_column(h[:, i % n_tx], i, n_tx) for i in range(2 * n_tx)]
-        assert np.allclose(complexify_channel(streams), h, atol=1e-14)
+        assert np.allclose(_complexify(_columns(h[None]))[0], h, atol=1e-14)
 
     @pytest.mark.parametrize("n_tx", [1, 2, 3, 4])
     def test_stack_has_the_per_antenna_bytes(self, n_tx):
@@ -184,16 +179,18 @@ class TestComplexify:
         want = np.stack([((v[..., :n_rx] + 1j * v[..., n_rx:])
                           + (w[..., n_rx:] - 1j * w[..., :n_rx])) / 2.0
                          for v, w in zip(stack[:n_tx], stack[n_tx:])], axis=-1)
-        got = complexify_channel(stack)
+        got = _complexify(stack)
         assert got.flags.c_contiguous
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
 
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            complexify_channel([[1.0, 2.0], [1.0, 2.0, 3.0]])
-        with pytest.raises(InvalidArgumentError):
-            complexify_channel([[1.0, 2.0]])
+    @pytest.mark.parametrize("n_tx", [1, 2, 3, 4])
+    def test_inverts_the_columns_bit_for_bit(self, n_tx):
+        # Both reconstructions of a column give it back exactly, and so does
+        # their average: (a + a) / 2 = a in floating point.
+        rng = np.random.default_rng(30 + n_tx)
+        h = rng.normal(size=(16, 3, n_tx)) + 1j * rng.normal(size=(16, 3, n_tx))
+        assert _complexify(_columns(h)).tobytes() == h.tobytes()
 
 
 class TestSubframeSpec:
@@ -206,8 +203,11 @@ class TestSubframeSpec:
             SubframeSpec(n_sym=2, n_pilot=2)
 
     def test_orthogonal_needs_enough_pilot_slots(self):
-        with pytest.raises(InvalidArgumentError):
-            SubframeSpec(n_tx=4, n_pilot=2, pilot_pattern=PilotPattern.ORTHOGONAL)
+        # Either pattern: with fewer pilot slots than antennas the pilot Gram is singular.
+        for pattern in PilotPattern:
+            with pytest.raises(InvalidArgumentError, match="n_pilot must be >= n_tx"):
+                SubframeSpec(n_tx=4, n_pilot=2, pilot_pattern=pattern)
+            SubframeSpec(n_tx=4, n_pilot=4, pilot_pattern=pattern)
 
 
 class TestPilotGrids:

@@ -25,9 +25,7 @@ from celab.signal_model import (
     SubframeSpec,
     build_constellation,
     child_seeds,
-    complexify_channel,
     generate_transmit_grid,
-    realify_channel_column,
     realify_signal,
 )
 from celab.structnet import (
@@ -37,6 +35,7 @@ from celab.structnet import (
     TrainConfig,
     _BatchTrainer,
     _binary_samples,
+    _complexify,
     _grid_tanh_sum,
     _init_mlp,
     _init_stream,
@@ -65,12 +64,18 @@ def _model(rng, n_rx=2, n_k=3, n_h1=8, n_h2=8):
     )
 
 
+def _column(h, stream):
+    """Realized stream `stream`'s channel column of h (N_r, N_t): [Re; Im] of
+    antenna `stream`, or [-Im; Re] of antenna `stream` - N_t."""
+    n_tx = h.shape[1]
+    col = h[:, stream % n_tx]
+    return np.concatenate([col.real, col.imag] if stream < n_tx else [-col.imag, col.real])
+
+
 def _sorted_columns(h, stream, order):
     """The realified columns of h (N_r, N_t) other than the stream's, in the
     interference order `order`: strongest first, or as given."""
-    n_tx = h.shape[1]
-    columns = [realify_channel_column(h[:, j % n_tx], j, n_tx)
-               for j in range(2 * n_tx) if j != stream]
+    columns = [_column(h, j) for j in range(2 * h.shape[1]) if j != stream]
     if order is IilOrder.DESCENDING_STRENGTH:
         columns.sort(key=lambda v: -np.sum(v**2))
     return np.stack(columns)
@@ -83,7 +88,7 @@ class TestInitModel:
         desired, interference, _ = _init_stream(h_ls, 0, TrainConfig(), np.random.default_rng(1))
         assert desired.shape == (1, 4)
         assert interference.shape == (1, 3, 4)
-        want = [realify_channel_column(h_ls[0, :, j % 2], j, 2) for j in (1, 2, 3)]
+        want = [_column(h_ls[0], j) for j in (1, 2, 3)]
         want.sort(key=lambda v: -np.sum(v**2))
         assert np.allclose(interference[0], np.stack(want))
 
@@ -98,7 +103,7 @@ class TestInitModel:
         h_ls = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
         cfg = TrainConfig(iil_order=IilOrder.GIVEN_ORDER)
         _, interference, _ = _init_stream(h_ls, 1, cfg, np.random.default_rng(2))
-        want = [realify_channel_column(h_ls[0, :, j % 2], j, 2) for j in (0, 2, 3)]
+        want = [_column(h_ls[0], j) for j in (0, 2, 3)]
         assert np.allclose(interference[0], np.stack(want))
 
     def test_same_seed_same_mlp(self):
@@ -137,7 +142,7 @@ class TestInitModel:
             desired, interference, _ = _init_stream(h_ls, stream, cfg,
                                                     np.random.default_rng(0))
             for k in range(4):
-                want = realify_channel_column(h_ls[k, :, stream % 2], stream, 2)
+                want = _column(h_ls[k], stream)
                 assert np.array_equal(desired[k], want)
                 assert np.array_equal(interference[k], _sorted_columns(h_ls[k], stream, order))
 
@@ -481,8 +486,7 @@ class TestEstimateChannel:
             y_p, grid.pilots, cfg, 5)
         reference = _BatchTrainer(np.zeros_like(anchor), interference, mlp, labels, lam, y, cfg)
         reference.run_epochs(cfg.epochs)
-        delta64 = complexify_channel([reference.desired[i * spec.n_sc:(i + 1) * spec.n_sc]
-                                      for i in range(2 * spec.n_tx)])
+        delta64 = _complexify(reference.desired.reshape(2 * spec.n_tx, spec.n_sc, -1))
         assert np.linalg.norm(delta64) > 1e-3 * np.linalg.norm(h_ls)
         assert np.linalg.norm(delta32 - delta64) <= 0.02 * np.linalg.norm(delta64)
 
