@@ -43,7 +43,7 @@ def _em_estimate(states, cell):
 class _Cell(typing.NamedTuple):
     """What an estimator sees of one (subframe, SNR) cell."""
     h: np.ndarray          # true frequency response (n_sc, N_r, N_t)
-    h_ls: np.ndarray       # the shared LS estimate; None until a method starting from it runs
+    h_ls: np.ndarray       # this SNR's slice of the subframe's LS; None where no method uses it
     y_p: np.ndarray        # received pilots (n_sc, N_r, N_p)
     pilots: np.ndarray     # transmitted pilots (n_sc, N_t, N_p)
     sigma2: float
@@ -54,9 +54,8 @@ class _Cell(typing.NamedTuple):
 
 # {name: (per-SNR state init or None, estimate, starts from LS)}.  An init
 # maps (spec, pdp, sigma2, e_s) to the state its estimate gets with each
-# cell of that SNR.  The first method of a cell that starts from LS computes
-# the shared LS estimate, and its time counts toward every method that
-# starts from it.  Estimators are looked up in their modules per call.
+# cell of that SNR.  Methods that start from LS share the subframe's LS
+# estimate (`run_sweep`).  Estimators are looked up in their modules per call.
 _METHODS = {
     "LS": (None, lambda state, cell: cell.h_ls, True),
     "GenieLMMSE": (_genie_filter, lambda filt, cell: (
@@ -226,10 +225,17 @@ def run_sweep(cfg: ExperimentConfig):
     (method, SNR) aggregate.  Fully reproducible from (config, seed); all
     estimators see the identical Y and H within a subframe (paired design).
 
+    Each subframe is scored in one pass once every cell has its estimates:
+    one LS call for all its SNRs, whose time is split evenly among them and
+    counts toward every method that starts from LS, then one equalizer and
+    one demapper call over every surviving (method, SNR) estimate.
+
     A method that raises a `CelabError` in a cell stops at that SNR: its row
     reads NaN, and one `RuntimeWarning` names the method, the SNR, the
     subframe and the error.  A failing LS estimate fails every method that
-    starts from it, each in its own cell, and no other.
+    starts from it, each in its own cell, and no other.  A subframe's
+    equalizer failures are found by equalizing its cells one at a time, and
+    warn after its estimate failures.
     """
     spec = cfg.spec
     const, pdp, sigma2s = _sweep_setup(cfg)
@@ -238,6 +244,7 @@ def run_sweep(cfg: ExperimentConfig):
     states = {(m, i): init(spec, pdp, s2, e_s)
               for m, init, _, _ in methods if init is not None
               for i, s2 in enumerate(sigma2s)}
+    uses_ls = any(from_ls for *_, from_ls in methods)
 
     acc = {
         (m, i): {"mse": 0.0, "errors": 0, "bits": 0, "time": 0.0, "failed": False}
@@ -245,46 +252,75 @@ def run_sweep(cfg: ExperimentConfig):
         for i in range(len(sigma2s))
     }
 
+    def fail(method, i, sf, exc):
+        acc[(method, i)]["failed"] = True
+        warnings.warn(f"{method} at {cfg.snr_db[i]:g} dB failed on subframe {sf}: "
+                      f"{type(exc).__name__}: {exc}", RuntimeWarning, stacklevel=3)
+
     for sf in range(cfg.n_subframes):
         ss = np.random.SeedSequence(entropy=(cfg.seed, sf))
         seeds = ss.spawn(2 + 2 * len(sigma2s))
         h = channel_sim.sample_channel(pdp, spec, seeds[0])
         grid = signal_model.generate_transmit_grid(spec, const, seeds[1])
+        y = np.stack([channel_sim.apply_channel(grid, h, channel_sim.NoiseSpec(sigma2),
+                                                seeds[2 + 2 * i])
+                      for i, sigma2 in enumerate(sigma2s)])  # (n_snr, n_sc, N_r, n_sym)
+        y_p = y[..., :spec.n_pilot]
 
+        # LS for every SNR at once: the received pilots stacked along the
+        # subcarrier axis, each cell's estimate a slice of the result.
+        h_ls, ls_error, ls_time = [None] * len(sigma2s), None, 0.0
+        if uses_ls:
+            t0 = time.perf_counter()
+            try:
+                h_ls = np.split(estimators.estimate_ls(
+                    y_p.reshape(-1, *y_p.shape[2:]),
+                    np.tile(grid.pilots, (len(sigma2s), 1, 1))), len(sigma2s))
+            except CelabError as exc:
+                ls_error = exc
+            ls_time = (time.perf_counter() - t0) / len(sigma2s)
+
+        scored = []  # (method, SNR index, estimate) of every cell still running
         for i, sigma2 in enumerate(sigma2s):
-            y = channel_sim.apply_channel(grid, h, channel_sim.NoiseSpec(sigma2),
-                                          seeds[2 + 2 * i])
-            y_p = y[:, :, :spec.n_pilot]
-            y_d = y[:, :, spec.n_pilot:]
-            ls_time = 0.0
-            cell = _Cell(h.freq_response, None, y_p, grid.pilots, sigma2, e_s, cfg.train,
+            cell = _Cell(h.freq_response, h_ls[i], y_p[i], grid.pilots, sigma2, e_s, cfg.train,
                          seeds[3 + 2 * i])
-
             for method, _, estimate, from_ls in methods:
                 slot = acc[(method, i)]
                 if slot["failed"]:
                     continue
                 try:
-                    if from_ls and cell.h_ls is None:
-                        t0 = time.perf_counter()
-                        cell = cell._replace(h_ls=estimators.estimate_ls(y_p, grid.pilots))
-                        ls_time = time.perf_counter() - t0
+                    if from_ls and ls_error is not None:
+                        raise ls_error
                     t0 = time.perf_counter()
                     est = estimate(states.get((method, i)), cell)
-                    slot["time"] += time.perf_counter() - t0
-                    if from_ls:
-                        slot["time"] += ls_time
-
+                    slot["time"] += time.perf_counter() - t0 + (ls_time if from_ls else 0.0)
                     slot["mse"] += evaluation.compute_mse(h.freq_response, est)
-                    x_hat = evaluation.equalize_lmmse(y_d, est, sigma2, e_s)
-                    bits_est = signal_model.demodulate_hard(x_hat.ravel(), const)
-                    err, tot, _ = evaluation.compute_ber(grid.data_bits, bits_est)
-                    slot["errors"] += err
-                    slot["bits"] += tot
+                    scored.append((method, i, est))
                 except CelabError as exc:
-                    slot["failed"] = True
-                    warnings.warn(f"{method} at {cfg.snr_db[i]:g} dB failed on subframe {sf}: "
-                                  f"{type(exc).__name__}: {exc}", RuntimeWarning, stacklevel=2)
+                    fail(method, i, sf, exc)
+        if not scored:
+            continue
+
+        snr = [i for _, i, _ in scored]
+        y_d = y[..., spec.n_pilot:]
+        try:
+            x_hat = evaluation.equalize_lmmse(y_d[snr], np.stack([est for *_, est in scored]),
+                                              np.array(sigma2s)[snr, None], e_s)
+        except CelabError:  # find the failing cells, one at a time
+            x_hat = []
+            for method, i, est in scored:
+                try:
+                    x_hat.append(evaluation.equalize_lmmse(y_d[i], est, sigma2s[i], e_s))
+                except CelabError as exc:
+                    fail(method, i, sf, exc)
+            scored = [s for s in scored if not acc[s[:2]]["failed"]]
+            if not scored:
+                continue
+        bits = signal_model.demodulate_hard(x_hat, const)
+        for (method, i, _), bits_est in zip(scored, bits.reshape(len(scored), -1)):
+            err, tot, _ = evaluation.compute_ber(grid.data_bits, bits_est)
+            acc[(method, i)]["errors"] += err
+            acc[(method, i)]["bits"] += tot
 
     rows = []
     for method in cfg.methods:

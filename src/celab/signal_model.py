@@ -91,7 +91,8 @@ def demodulate_hard(syms, c: Constellation) -> np.ndarray:
     """Hard-decision demap to bits (nearest point, ties toward smaller level).
     An axis's level index counts the decision boundaries below it; NaN counts all."""
     parts = np.asarray(syms, dtype=complex).ravel().view(float).reshape(-1, 2)
-    idx = np.zeros(parts.shape, dtype=int)  # [re, im] level indices
+    # [re, im] level indices; uint8 holds the point index too (8 levels at most)
+    idx = np.zeros(parts.shape, dtype=np.uint8)
     for b in (c.pam_levels[:-1] + c.pam_levels[1:]) / 2.0:
         idx += ~(parts <= b)
     return np.take(c.point_bits, idx[:, 0] * len(c.pam_levels) + idx[:, 1], axis=0).reshape(-1)

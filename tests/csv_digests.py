@@ -41,6 +41,9 @@ CONFIGS = {
     # 70 subframes: EmLMMSE's history folds to dense at the 64th.
     "baselines-64": {"snr_db": "0,10,20", "n_subframes": "70", "seed": "7",
                      "methods": "LS,GenieLMMSE,EmLMMSE,PerfectCSI"},
+    # sigma^2 = 0 beside sigma^2 > 0 in one subframe; pins the noiseless branch.
+    "noiseless": {"n_sc": "32", "snr_db": "10,inf", "n_subframes": "3", "seed": "7",
+                  "methods": "LS,GenieLMMSE,EmLMMSE,PerfectCSI"},
 }
 
 

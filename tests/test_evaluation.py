@@ -104,6 +104,22 @@ class TestEqualizer:
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_noise_variance_per_stack_entry(self):
+        # One call over a stack with mixed noise variances, 0 included, gives
+        # each entry's own call byte for byte.
+        rng = np.random.default_rng(4)
+        h = rng.normal(size=(3, 5, 2, 2)) + 1j * rng.normal(size=(3, 5, 2, 2))
+        y = rng.normal(size=(3, 5, 2, 6)) + 1j * rng.normal(size=(3, 5, 2, 6))
+        sigma2 = np.array([0.0, 0.5, 20.0])
+        got = equalize_lmmse(y, h, sigma2[:, None], 10.0)
+        for i, s2 in enumerate(sigma2):
+            assert got[i].tobytes() == equalize_lmmse(y[i], h[i], float(s2), 10.0).tobytes()
+
+    def test_negative_noise_variance_in_a_stack_rejected(self):
+        h = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
+        with pytest.raises(InvalidArgumentError, match="noise variance"):
+            equalize_lmmse(np.ones((3, 2, 4), dtype=complex), h, np.array([1.0, -1e-3, 0.0]), 10.0)
+
     def test_stacked_subcarriers(self):
         rng = np.random.default_rng(3)
         h = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))

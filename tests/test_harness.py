@@ -227,14 +227,16 @@ class TestRunSweep:
         assert ls_alone.ber == ls_paired.ber
 
     def test_learner_reuses_the_sweep_ls_estimate(self, monkeypatch):
-        calls = []
-        for owner in (harness.estimators, harness.structnet):
+        # One LS call per subframe covers every SNR; the learner makes none.
+        calls = {harness.estimators: [], harness.structnet: []}
+        for owner, log in calls.items():
             monkeypatch.setattr(owner, "estimate_ls",
-                                lambda *a, f=owner.estimate_ls: calls.append(1) or f(*a))
+                                lambda *a, f=owner.estimate_ls, log=log: log.append(1) or f(*a))
         cfg = config_from_items({"n_sc": "8", "n_subframes": "3", "snr_db": "0,10",
                                  "methods": "LS,StructNetCE", "epochs": "2"})
         rows = run_sweep(cfg)
-        assert len(calls) == cfg.n_subframes * len(cfg.snr_db)
+        assert len(calls[harness.estimators]) == cfg.n_subframes
+        assert len(calls[harness.structnet]) == 0
         assert all(math.isfinite(r.mse) for r in rows)
 
     def test_perfect_csi_zero_mse(self):
@@ -299,6 +301,34 @@ class TestRunSweep:
             "NumericalFailureError: equalizer system singular or ill-conditioned"]
         assert math.isnan(rows["PerfectCSI"].mse) and math.isnan(rows["PerfectCSI"].ber)
         assert math.isfinite(rows["LS"].mse) and math.isfinite(rows["LS"].ber)
+
+    def test_failure_inside_a_stacked_subframe(self, monkeypatch):
+        # PerfectCSI returns a NaN only at 20 dB on subframe 1: the subframe's
+        # stacked equalizer call fails, and only that cell may.
+        base = {"n_sc": "8", "n_subframes": "3", "snr_db": "10,20", "seed": "5",
+                "methods": "LS,GenieLMMSE,EmLMMSE,PerfectCSI"}
+        clean = run_sweep(config_from_items(base))
+        calls = []
+
+        def with_nan(state, cell):
+            calls.append(1)
+            h = cell.h.copy()
+            if len(calls) == 4:  # subframe 1, 20 dB
+                h[0, 0, 0] = complex("nan")
+            return h
+
+        monkeypatch.setitem(harness._METHODS, "PerfectCSI", (None, with_nan, False))
+        with pytest.warns(RuntimeWarning) as record:
+            rows = run_sweep(config_from_items(base))
+        assert [str(w.message) for w in record] == [
+            "PerfectCSI at 20 dB failed on subframe 1: "
+            "NumericalFailureError: equalizer system singular or ill-conditioned"]
+        assert len(calls) == 5  # the failed cell is skipped on subframe 2
+        for got, want in zip(rows, clean, strict=True):
+            if (got.method, got.snr_db) == ("PerfectCSI", 20.0):
+                assert math.isnan(got.mse) and math.isnan(got.ber)
+            else:
+                assert (got.mse.hex(), got.ber.hex()) == (want.mse.hex(), want.ber.hex())
 
     def test_ls_failure_fails_only_the_methods_that_start_from_it(self, monkeypatch):
         # LS fails in every cell, and so does GenieLMMSE, which filters it.
