@@ -95,14 +95,21 @@ def analytic_freq_correlation(pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
 
 
 def apply_channel(x: TransmitGrid, h: ChannelRealization, noise: NoiseSpec, seed) -> np.ndarray:
-    """Per-subcarrier Y(c) = H(c) X(c) + N(c); returns [n_sc x N_r x N_s]."""
+    """Per-subcarrier Y(c) = H(c) X(c) + N(c); returns [n_sc x N_r x N_s].
+    The noise is `add_noise`'s, so one product H X taken with NoiseSpec(0.0)
+    gives every noise level's Y, byte for byte, through `add_noise`."""
     full = x.full
     n_sc, n_rx, n_tx = h.freq_response.shape
     if full.shape[0] != n_sc or full.shape[1] != n_tx:
         raise InvalidArgumentError(
             f"grid shape {full.shape} incompatible with channel {h.freq_response.shape}"
         )
-    y = np.einsum("crt,cts->crs", h.freq_response, full)
+    return add_noise(np.einsum("crt,cts->crs", h.freq_response, full), noise, seed)
+
+
+def add_noise(y: np.ndarray, noise: NoiseSpec, seed) -> np.ndarray:
+    """y + N, with N circularly-symmetric complex Gaussian of variance
+    noise.variance drawn from `seed`; y itself when the variance is 0."""
     if noise.variance > 0:
         rng = np.random.default_rng(seed)
         scale = np.sqrt(noise.variance / 2.0)

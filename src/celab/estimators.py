@@ -18,6 +18,13 @@ until it reaches n, when the state folds into U = I, W = the dense n x n
 correlation.  A dense correlation is the folded form too, so every filter is
 built by the one formula above.
 
+A correlation may stand for a stack of them: U (..., n, k) and W (..., k, k)
+with leading stack axes, and the vectors it filters or is updated with
+h (..., n).  The stack runs each entry's arithmetic through the same BLAS and
+LAPACK calls as the unstacked case, so its entries equal the one-at-a-time
+results byte for byte.  The sweep keeps one EmLMMSE stack over all N_r N_t
+antenna pairs, and filters and updates it in one call per cell.
+
 LS and the equalizer check their systems with `checked_inverse`: Gauss-Jordan
 elimination without pivoting over the whole stack, stable on positive-definite
 matrices (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
@@ -35,6 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import COND_LIMIT, InvalidArgumentError, NumericalFailureError
+
+
+def _h(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def checked_inverse(a: np.ndarray, message: str) -> np.ndarray:
@@ -78,20 +90,21 @@ def estimate_ls(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
     y_p = np.asarray(y_p, dtype=complex)
     x_p = np.asarray(x_p, dtype=complex)
     with np.errstate(all="ignore"):  # non-finite pilots raise in the check
-        gram = x_p @ np.conj(np.swapaxes(x_p, -1, -2))
+        gram = x_p @ _h(x_p)
     checked_inverse(gram, "pilot Gram matrix ill-conditioned (cond={cond:.3e})")
-    cross = y_p @ np.conj(np.swapaxes(x_p, -1, -2))
+    cross = y_p @ _h(x_p)
     # A G^-1 via a Hermitian solve: (G^-1 A^H)^H.
-    return np.conj(np.swapaxes(np.linalg.solve(gram, np.conj(np.swapaxes(cross, -1, -2))), -1, -2))
+    return _h(np.linalg.solve(gram, _h(cross)))
 
 
 @dataclass(frozen=True)
 class FactoredCorr:
-    """The n x n matrix a*I + U W U^H; `x @` applies it in O(n k)."""
+    """The n x n matrix a*I + U W U^H, or a stack of them; `@ x` applies it
+    to x (..., n, m) in O(n k m)."""
 
     a: float
-    u: np.ndarray  # (n, k)
-    w: np.ndarray  # (k, k)
+    u: np.ndarray  # (..., n, k)
+    w: np.ndarray  # (..., k, k)
 
     @classmethod
     def from_dense(cls, r_hh) -> "FactoredCorr":
@@ -110,44 +123,45 @@ class FactoredCorr:
 
     @property
     def shape(self) -> tuple:
-        """(n, n), the shape of the matrix it stands for."""
-        n = self.u.shape[0]
+        """(n, n), the shape of each matrix it stands for."""
+        n = self.u.shape[-2]
         return (n, n)
 
     def dense(self) -> np.ndarray:
-        return self.a * np.eye(self.u.shape[0]) + self.u @ self.w @ self.u.conj().T
+        return self.a * np.eye(self.u.shape[-2]) + self.u @ self.w @ _h(self.u)
 
     def __matmul__(self, x):
-        return self.a * x + self.u @ (self.w @ (self.u.conj().T @ x))
+        return self.a * x + self.u @ (self.w @ (_h(self.u) @ x))
 
 
 def lmmse_filter(r_hh, sigma_eff2: float):
     """R (R + sigma_eff^2 I)^-1, reusable across estimates at the same noise level.
 
-    R is a FactoredCorr, and the filter is returned as one; a dense R gives
-    a dense filter.  sigma_eff^2 = 0 gives the identity.
+    R is a FactoredCorr, or a stack of them, and the filter is returned as
+    one; a dense R gives a dense filter.  sigma_eff^2 = 0 gives the identity.
     """
     factored = r_hh if isinstance(r_hh, FactoredCorr) else FactoredCorr.from_dense(r_hh)
     if sigma_eff2 < 0:
         raise InvalidArgumentError("noise variance must be >= 0")
     if sigma_eff2 == 0:
-        filt = FactoredCorr.identity(factored.u.shape[0])
+        filt = FactoredCorr.identity(factored.u.shape[-2])
     else:
         b = factored.a + sigma_eff2
-        m = b * np.eye(factored.u.shape[1]) + (factored.u.conj().T @ factored.u) @ factored.w
+        m = b * np.eye(factored.u.shape[-1]) + (_h(factored.u) @ factored.u) @ factored.w
         # W M^-1 as (M^-H W^H)^H.
-        w_m = np.linalg.solve(m.conj().T, factored.w.conj().T).conj().T
+        w_m = _h(np.linalg.solve(_h(m), _h(factored.w)))
         filt = FactoredCorr(factored.a / b, factored.u, (sigma_eff2 / b) * w_m)
     return filt if isinstance(r_hh, FactoredCorr) else filt.dense()
 
 
 class EmLmmseState:
-    """Running channel-correlation estimate for one (r, t) antenna pair.
+    """Running channel-correlation estimate for one (r, t) antenna pair, or
+    for a stack of pairs updated together.
 
     The correlation is held as `factored`: the identity prior of `initial`
-    is a = 1 with no columns; after updates it is the weighted history of
-    LS vectors, or the dense n x n matrix once the history would reach n
-    columns.  `corr` builds the n x n matrix on demand.
+    is a = 1 with no columns, shared by every pair; after updates it is each
+    pair's weighted history of LS vectors, or the dense n x n matrix once the
+    history would reach n columns.  `corr` builds the n x n matrices on demand.
     """
 
     def __init__(self, factored: FactoredCorr, subframes_seen: int = 0, window: int = 100):
@@ -168,29 +182,33 @@ class EmLmmseState:
 
 def update_empirical_correlation(state: EmLmmseState, h_hat) -> EmLmmseState:
     """Capped-window moving average of h h* outer products:
-    C <- (1 - 1/w) C + (1/w) h h*, w = min(updates so far + 1, window)."""
+    C <- (1 - 1/w) C + (1/w) h h*, w = min(updates so far + 1, window).
+    h_hat (..., n) updates a stack of correlations, one per leading index."""
     h_hat = np.asarray(h_hat, dtype=complex)
     w = min(state.subframes_seen + 1, state.window)
     keep = 1.0 - 1.0 / w
     old = state.factored
-    n, k = old.u.shape
+    n, k = old.u.shape[-2:]
+    stack = h_hat.shape[:-1]
     if k == n:  # folded: U = I
         u = old.u
-        weights = keep * old.w + (1.0 / w) * np.outer(h_hat, h_hat.conj())
+        weights = keep * old.w + (1.0 / w) * (h_hat[..., :, None] * h_hat.conj()[..., None, :])
     else:
-        u = np.concatenate([old.u, h_hat[:, None]], axis=1)
-        weights = np.zeros((k + 1, k + 1), dtype=complex)
-        weights[:k, :k] = keep * old.w
-        weights[k, k] = 1.0 / w
+        u = np.concatenate([np.broadcast_to(old.u, (*stack, n, k)), h_hat[..., None]], axis=-1)
+        weights = np.zeros((*stack, k + 1, k + 1), dtype=complex)
+        weights[..., :k, :k] = keep * old.w
+        weights[..., k, k] = 1.0 / w
         if k + 1 == n:
-            u, weights = np.eye(n, dtype=complex), u @ weights @ u.conj().T
+            u, weights = np.eye(n, dtype=complex), u @ weights @ _h(u)
     return EmLmmseState(factored=FactoredCorr(keep * old.a, u, weights),
                         subframes_seen=state.subframes_seen + 1, window=state.window)
 
 
 def estimate_em_lmmse(state: EmLmmseState, h_ls, sigma2: float, pilot_energy: float) -> np.ndarray:
-    """LMMSE filtering of one (r, t) LS channel vector, with the empirical
+    """LMMSE filtering of one (r, t) LS channel vector, or of a stack
+    h_ls (..., n) of them against a stacked state, with the empirical
     correlation in place of the true one."""
     if pilot_energy <= 0:
         raise InvalidArgumentError("pilot energy must be > 0")
-    return lmmse_filter(state.factored, sigma2 / pilot_energy) @ np.asarray(h_ls, dtype=complex)
+    h_ls = np.asarray(h_ls, dtype=complex)
+    return (lmmse_filter(state.factored, sigma2 / pilot_energy) @ h_ls[..., None])[..., 0]

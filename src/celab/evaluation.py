@@ -60,22 +60,33 @@ def _apply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_mse(h_true: np.ndarray, h_est: np.ndarray) -> float:
-    """Frobenius error summed over subcarriers, divided by N_t * N_r * N_c."""
+def compute_mse(h_true: np.ndarray, h_est: np.ndarray):
+    """Frobenius error summed over subcarriers, divided by N_t * N_r * N_c.
+
+    `h_est` may carry leading stack axes, each entry an estimate of `h_true`;
+    the result then holds one MSE per entry, each equal to the unstacked
+    call's.
+    """
     h_true = np.asarray(h_true, dtype=complex)
     h_est = np.asarray(h_est, dtype=complex)
-    if h_true.shape != h_est.shape:
+    if h_est.shape[h_est.ndim - h_true.ndim:] != h_true.shape:
         raise InvalidArgumentError(
             f"shape mismatch {h_true.shape} vs {h_est.shape}"
         )
-    return float(np.sum(np.abs(h_true - h_est) ** 2) / h_true.size)
+    axes = tuple(range(-h_true.ndim, 0))
+    return np.sum(np.abs(h_true - h_est) ** 2, axis=axes) / h_true.size
 
 
 def compute_ber(bits_true, bits_est):
-    """(bit_errors, bits_total, ber) for two aligned bit sequences."""
+    """(bit_errors, bits_total, ber) for two aligned bit sequences.
+
+    `bits_true` is read flat; the last axis of `bits_est` is the bit
+    sequence, and any leading axes a stack, for which errors and ber hold one
+    entry each.
+    """
     bits_true = np.asarray(bits_true, dtype=int).ravel()
-    bits_est = np.asarray(bits_est, dtype=int).ravel()
-    if bits_true.size != bits_est.size:
+    bits_est = np.asarray(bits_est, dtype=int)
+    if bits_est.shape[-1:] != bits_true.shape:
         raise InvalidArgumentError("bit sequences differ in length")
-    errors = int(np.count_nonzero(bits_true != bits_est))
+    errors = np.count_nonzero(bits_true != bits_est, axis=-1)
     return errors, bits_true.size, errors / bits_true.size

@@ -24,20 +24,19 @@ def _genie_filter(spec, pdp, sigma2, e_s):
 
 
 def _em_states(spec, pdp, sigma2, e_s):
-    return {(r, t): estimators.EmLmmseState.initial(spec.n_sc)
-            for r in range(spec.n_rx) for t in range(spec.n_tx)}
+    # One state over every (r, t) pair, boxed in a list so that `_em_estimate`
+    # can replace it.
+    return [estimators.EmLmmseState.initial(spec.n_sc)]
 
 
-def _em_estimate(states, cell):
-    est = np.empty_like(cell.h_ls)
-    for (r, t), state in states.items():
-        est[:, r, t] = estimators.estimate_em_lmmse(state, cell.h_ls[:, r, t],
-                                                    cell.sigma2, cell.e_s)
-        # Feeding the filter's own output back collapses the running
-        # correlation to rank one (the first update replaces the identity
-        # prior), so the running statistic accumulates the unbiased LS estimates.
-        states[r, t] = estimators.update_empirical_correlation(state, cell.h_ls[:, r, t])
-    return est
+def _em_estimate(state, cell):
+    pairs = cell.h_ls.reshape(cell.h_ls.shape[0], -1).T  # (N_r N_t, n_sc), (r, t) row-major
+    est = estimators.estimate_em_lmmse(state[0], pairs, cell.sigma2, cell.e_s)
+    # Feeding the filter's own output back collapses the running
+    # correlation to rank one (the first update replaces the identity
+    # prior), so the running statistic accumulates the unbiased LS estimates.
+    state[0] = estimators.update_empirical_correlation(state[0], pairs)
+    return est.T.reshape(cell.h_ls.shape)
 
 
 class _Cell(typing.NamedTuple):
@@ -225,10 +224,16 @@ def run_sweep(cfg: ExperimentConfig):
     (method, SNR) aggregate.  Fully reproducible from (config, seed); all
     estimators see the identical Y and H within a subframe (paired design).
 
-    Each subframe is scored in one pass once every cell has its estimates:
+    Each subframe takes one channel product H X, to which each SNR adds its
+    own noise, and is scored in one pass once every cell has its estimates:
     one LS call for all its SNRs, whose time is split evenly among them and
-    counts toward every method that starts from LS, then one equalizer and
-    one demapper call over every surviving (method, SNR) estimate.
+    counts toward every method that starts from LS, then one MSE, one
+    equalizer, one demapper and one bit-error call over every surviving
+    (method, SNR) estimate.  The LS call stacks the SNRs' received pilots
+    along the receive-antenna axis against the one set of transmitted pilots:
+    LS rows are independent, so each subcarrier's pilot Gram matrix is built
+    and checked once, not once per SNR, and every estimate keeps its bytes.
+    Each estimate's shape is checked in its own cell, before the stack.
 
     A method that raises a `CelabError` in a cell stops at that SNR: its row
     reads NaN, and one `RuntimeWarning` names the method, the SNR, the
@@ -262,20 +267,22 @@ def run_sweep(cfg: ExperimentConfig):
         seeds = ss.spawn(2 + 2 * len(sigma2s))
         h = channel_sim.sample_channel(pdp, spec, seeds[0])
         grid = signal_model.generate_transmit_grid(spec, const, seeds[1])
-        y = np.stack([channel_sim.apply_channel(grid, h, channel_sim.NoiseSpec(sigma2),
-                                                seeds[2 + 2 * i])
+        clean = channel_sim.apply_channel(grid, h, channel_sim.NoiseSpec(0.0), None)
+        y = np.stack([channel_sim.add_noise(clean, channel_sim.NoiseSpec(sigma2), seeds[2 + 2 * i])
                       for i, sigma2 in enumerate(sigma2s)])  # (n_snr, n_sc, N_r, n_sym)
+        del clean  # not held through the estimators, the learner's peak included
         y_p = y[..., :spec.n_pilot]
 
         # LS for every SNR at once: the received pilots stacked along the
-        # subcarrier axis, each cell's estimate a slice of the result.
+        # receive axis (n_sc, n_snr N_r, N_p); each cell's estimate is a
+        # contiguous (n_sc, N_r, N_t) slice of the result.
         h_ls, ls_error, ls_time = [None] * len(sigma2s), None, 0.0
         if uses_ls:
             t0 = time.perf_counter()
             try:
-                h_ls = np.split(estimators.estimate_ls(
-                    y_p.reshape(-1, *y_p.shape[2:]),
-                    np.tile(grid.pilots, (len(sigma2s), 1, 1))), len(sigma2s))
+                h_ls = estimators.estimate_ls(np.concatenate(y_p, axis=1), grid.pilots)
+                h_ls = np.ascontiguousarray(np.swapaxes(
+                    h_ls.reshape(spec.n_sc, len(sigma2s), spec.n_rx, spec.n_tx), 0, 1))
             except CelabError as exc:
                 ls_error = exc
             ls_time = (time.perf_counter() - t0) / len(sigma2s)
@@ -294,7 +301,9 @@ def run_sweep(cfg: ExperimentConfig):
                     t0 = time.perf_counter()
                     est = estimate(states.get((method, i)), cell)
                     slot["time"] += time.perf_counter() - t0 + (ls_time if from_ls else 0.0)
-                    slot["mse"] += evaluation.compute_mse(h.freq_response, est)
+                    if np.shape(est) != h.freq_response.shape:
+                        raise InvalidArgumentError(f"estimate shape {np.shape(est)}, "
+                                                   f"channel {h.freq_response.shape}")
                     scored.append((method, i, est))
                 except CelabError as exc:
                     fail(method, i, sf, exc)
@@ -302,10 +311,13 @@ def run_sweep(cfg: ExperimentConfig):
             continue
 
         snr = [i for _, i, _ in scored]
+        h_hat = np.stack([est for *_, est in scored])
+        mse = evaluation.compute_mse(h.freq_response, h_hat)
+        for (method, i, _), m in zip(scored, mse.tolist()):
+            acc[(method, i)]["mse"] += m
         y_d = y[..., spec.n_pilot:]
         try:
-            x_hat = evaluation.equalize_lmmse(y_d[snr], np.stack([est for *_, est in scored]),
-                                              np.array(sigma2s)[snr, None], e_s)
+            x_hat = evaluation.equalize_lmmse(y_d[snr], h_hat, np.array(sigma2s)[snr, None], e_s)
         except CelabError:  # find the failing cells, one at a time
             x_hat = []
             for method, i, est in scored:
@@ -317,10 +329,10 @@ def run_sweep(cfg: ExperimentConfig):
             if not scored:
                 continue
         bits = signal_model.demodulate_hard(x_hat, const)
-        for (method, i, _), bits_est in zip(scored, bits.reshape(len(scored), -1)):
-            err, tot, _ = evaluation.compute_ber(grid.data_bits, bits_est)
+        errors, total, _ = evaluation.compute_ber(grid.data_bits, bits.reshape(len(scored), -1))
+        for (method, i, _), err in zip(scored, errors.tolist()):
             acc[(method, i)]["errors"] += err
-            acc[(method, i)]["bits"] += tot
+            acc[(method, i)]["bits"] += total
 
     rows = []
     for method in cfg.methods:

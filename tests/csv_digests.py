@@ -44,6 +44,11 @@ CONFIGS = {
     # sigma^2 = 0 beside sigma^2 > 0 in one subframe; pins the noiseless branch.
     "noiseless": {"n_sc": "32", "snr_db": "10,inf", "n_subframes": "3", "seed": "7",
                   "methods": "LS,GenieLMMSE,EmLMMSE,PerfectCSI"},
+    # N_r != N_t pins the (r, t) order of EmLMMSE's stacked state and LS's SNRs
+    # stacked along the receive axis; 40 subframes: EmLMMSE folds at the 32nd.
+    "rx3-tx2": {"n_rx": "3", "n_tx": "2", "n_sc": "32", "snr_db": "0,20,inf",
+                "n_subframes": "40", "seed": "7",
+                "methods": "LS,GenieLMMSE,EmLMMSE,PerfectCSI"},
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 from celab.channel_sim import (
     NoiseSpec,
     PowerDelayProfile,
+    add_noise,
     analytic_freq_correlation,
     apply_channel,
     exponential_pdp,
@@ -166,6 +167,19 @@ class TestApplyChannel:
         noise = (y - clean).ravel()
         assert noise.size >= 1000
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(sigma2, rel=0.1)
+
+    def test_noise_added_to_the_product_matches_one_call(self):
+        # One product H X serves every noise level: adding each level's noise
+        # to it gives apply_channel's Y byte for byte, and leaves it as it was.
+        spec = SubframeSpec(n_sc=16)
+        grid = self._grid(spec)
+        ch = sample_channel(exponential_pdp(4, 2.0), spec, 2)
+        clean = apply_channel(grid, ch, NoiseSpec(0.0), None)
+        kept = clean.copy()
+        for sigma2, seed in ((0.0, 5), (0.5, 5), (3.0, np.random.SeedSequence(9))):
+            got = add_noise(clean, NoiseSpec(sigma2), seed)
+            assert got.tobytes() == apply_channel(grid, ch, NoiseSpec(sigma2), seed).tobytes()
+        assert clean.tobytes() == kept.tobytes()
 
     def test_shape_mismatch(self):
         spec = SubframeSpec(n_sc=8)

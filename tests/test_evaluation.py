@@ -147,7 +147,32 @@ class TestMse:
             compute_mse(np.ones((2, 2, 2)), np.ones((2, 2, 3)))
 
 
+    def test_stack_matches_each_entry(self):
+        # One call over a stack of estimates gives each entry's own call
+        # byte for byte.
+        rng = np.random.default_rng(6)
+        h = rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2))
+        est = h + rng.normal(size=(2, 3, 64, 2, 2)) + 1j * rng.normal(size=(2, 3, 64, 2, 2))
+        got = compute_mse(h, est)
+        assert got.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            assert got[i].tobytes() == np.float64(compute_mse(h, est[i])).tobytes()
+        with pytest.raises(InvalidArgumentError):
+            compute_mse(h, est[..., :63, :, :])
+
+
 class TestBer:
+    def test_stack_matches_each_entry(self):
+        rng = np.random.default_rng(7)
+        bits_true = rng.integers(0, 2, (8, 2, 12))  # read flat, as a grid's data bits
+        bits_est = rng.integers(0, 2, (5, bits_true.size))
+        errors, total, ber = compute_ber(bits_true, bits_est)
+        assert errors.shape == ber.shape == (5,)
+        for e, b, row in zip(errors, ber, bits_est):
+            assert (e, total, b) == compute_ber(bits_true, row)
+        with pytest.raises(InvalidArgumentError):
+            compute_ber(bits_true, bits_est[:, 1:])
+
     def test_identical(self):
         errors, total, ber = compute_ber([0, 1, 1, 0], [0, 1, 1, 0])
         assert (errors, total, ber) == (0, 4, 0.0)

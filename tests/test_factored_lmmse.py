@@ -82,6 +82,43 @@ def test_zero_noise_returns_h_and_negative_noise_raises(seed, n, k, a):
             lmmse_filter(r_hh, -1e-3)
 
 
+def _entry(a, p, stack):
+    """Entry p of a possibly unstacked (shared) array of a stacked state."""
+    return np.broadcast_to(a, (*stack, *a.shape[-2:]))[p]
+
+
+@pytest.mark.parametrize("n_rx, n_tx", [(2, 2), (3, 2)])
+def test_stacked_pairs_match_one_call_per_pair(n_rx, n_tx):
+    # One state over every (r, t) pair, fed as the sweep feeds it, against one
+    # state per pair: the identity prior, k growing, the fold at k = n, and
+    # two updates past it, each at sigma^2 = 0 and > 0, byte for byte.
+    n, stack = 6, (n_rx * n_tx,)
+    rng = np.random.default_rng(11)
+    pairs = [(r, t) for r in range(n_rx) for t in range(n_tx)]
+    stacked = EmLmmseState.initial(n, window=4)
+    single = {pair: EmLmmseState.initial(n, window=4) for pair in pairs}
+    for _ in range(n + 2):
+        h_ls = _cvec(rng, n, n_rx, n_tx)
+        x = h_ls.reshape(n, -1).T  # (N_r N_t, n), (r, t) row-major
+        for s in (0.0, 0.3):
+            got = estimate_em_lmmse(stacked, x, s, 1.0)
+            filt = lmmse_filter(stacked.factored, s)
+            for p, (r, t) in enumerate(pairs):
+                want = estimate_em_lmmse(single[r, t], h_ls[:, r, t], s, 1.0)
+                assert got[p].tobytes() == want.tobytes()
+                assert (filt @ x[..., None])[p].tobytes() == (
+                    lmmse_filter(single[r, t].factored, s) @ h_ls[:, r, t, None]).tobytes()
+        stacked = update_empirical_correlation(stacked, x)
+        for p, (r, t) in enumerate(pairs):
+            single[r, t] = update_empirical_correlation(single[r, t], h_ls[:, r, t])
+            one = single[r, t].factored
+            assert stacked.factored.a == one.a
+            assert _entry(stacked.factored.u, p, stack).tobytes() == one.u.tobytes()
+            assert _entry(stacked.factored.w, p, stack).tobytes() == one.w.tobytes()
+            assert _entry(stacked.corr, p, stack).tobytes() == single[r, t].corr.tobytes()
+    assert stacked.factored.u.shape[-2:] == (n, n)
+
+
 def test_genie_factors_give_analytic_correlation():
     pdp = exponential_pdp(8, 3.0)
     for n_sc in (16, 1024):

@@ -330,6 +330,32 @@ class TestRunSweep:
             else:
                 assert (got.mse.hex(), got.ber.hex()) == (want.mse.hex(), want.ber.hex())
 
+    def test_wrong_shaped_estimate_fails_only_its_cell(self, monkeypatch):
+        # PerfectCSI returns an estimate one subcarrier short, only at 20 dB
+        # on subframe 1: the subframe's MSE is taken over a stack of its
+        # estimates, and only that cell may fail.
+        base = {"n_sc": "8", "n_subframes": "3", "snr_db": "10,20", "seed": "5",
+                "methods": "LS,GenieLMMSE,EmLMMSE,PerfectCSI"}
+        clean = run_sweep(config_from_items(base))
+        calls = []
+
+        def short(state, cell):
+            calls.append(1)
+            return cell.h[1:] if len(calls) == 4 else cell.h  # subframe 1, 20 dB
+
+        monkeypatch.setitem(harness._METHODS, "PerfectCSI", (None, short, False))
+        with pytest.warns(RuntimeWarning) as record:
+            rows = run_sweep(config_from_items(base))
+        assert len(record) == 1
+        assert str(record[0].message).startswith(
+            "PerfectCSI at 20 dB failed on subframe 1: InvalidArgumentError: ")
+        assert len(calls) == 5  # the failed cell is skipped on subframe 2
+        for got, want in zip(rows, clean, strict=True):
+            if (got.method, got.snr_db) == ("PerfectCSI", 20.0):
+                assert math.isnan(got.mse) and math.isnan(got.ber)
+            else:
+                assert (got.mse.hex(), got.ber.hex()) == (want.mse.hex(), want.ber.hex())
+
     def test_ls_failure_fails_only_the_methods_that_start_from_it(self, monkeypatch):
         # LS fails in every cell, and so does GenieLMMSE, which filters it.
         def singular(y_p, x_p):
