@@ -241,30 +241,33 @@ def run_sweep(cfg: ExperimentConfig):
     starts from it, each in its own cell, and no other.  A subframe's
     equalizer failures are found by equalizing its cells one at a time, and
     warn after its estimate failures.
+
+    The books are four (method, SNR) tables, indexed by the method's position
+    in `cfg.methods` and the SNR's in `cfg.snr_db`: summed MSE, seconds, bit
+    errors, and whether the cell has failed.  A cell's seconds are added as
+    its estimate returns; each subframe adds its MSEs and bit errors with one
+    indexed sum each, a cell appearing at most once.  A cell that has not
+    failed was scored on every subframe, each with as many data bits, so its
+    BER is its errors over n_subframes times that count; both are integers
+    below 2^53, so the quotient is the correctly rounded one.
     """
     spec = cfg.spec
     const, pdp, sigma2s = _sweep_setup(cfg)
     e_s = const.avg_energy
-    methods = [(m, *_METHODS[m]) for m in cfg.methods]
-    states = {(m, i): init(spec, pdp, s2, e_s)
-              for m, init, _, _ in methods if init is not None
-              for i, s2 in enumerate(sigma2s)}
+    methods = [_METHODS[m] for m in cfg.methods]
+    states = [[None if init is None else init(spec, pdp, s2, e_s) for s2 in sigma2s]
+              for init, _, _ in methods]
     uses_ls = any(from_ls for *_, from_ls in methods)
+    mse, seconds, errors, failed = (np.zeros((len(methods), len(sigma2s)), dtype=kind)
+                                    for kind in (float, float, int, bool))
 
-    acc = {
-        (m, i): {"mse": 0.0, "errors": 0, "bits": 0, "time": 0.0, "failed": False}
-        for m in cfg.methods
-        for i in range(len(sigma2s))
-    }
-
-    def fail(method, i, sf, exc):
-        acc[(method, i)]["failed"] = True
-        warnings.warn(f"{method} at {cfg.snr_db[i]:g} dB failed on subframe {sf}: "
+    def fail(j, i, sf, exc):
+        failed[j, i] = True
+        warnings.warn(f"{cfg.methods[j]} at {cfg.snr_db[i]:g} dB failed on subframe {sf}: "
                       f"{type(exc).__name__}: {exc}", RuntimeWarning, stacklevel=3)
 
     for sf in range(cfg.n_subframes):
-        ss = np.random.SeedSequence(entropy=(cfg.seed, sf))
-        seeds = ss.spawn(2 + 2 * len(sigma2s))
+        seeds = np.random.SeedSequence(entropy=(cfg.seed, sf)).spawn(2 + 2 * len(sigma2s))
         h = channel_sim.sample_channel(pdp, spec, seeds[0])
         grid = signal_model.generate_transmit_grid(spec, const, seeds[1])
         clean = channel_sim.apply_channel(grid, h, channel_sim.NoiseSpec(0.0), None)
@@ -287,65 +290,55 @@ def run_sweep(cfg: ExperimentConfig):
                 ls_error = exc
             ls_time = (time.perf_counter() - t0) / len(sigma2s)
 
-        scored = []  # (method, SNR index, estimate) of every cell still running
+        scored, estimates = [], []  # (method, SNR) index of every cell still running; its estimate
         for i, sigma2 in enumerate(sigma2s):
             cell = _Cell(h.freq_response, h_ls[i], y_p[i], grid.pilots, sigma2, e_s, cfg.train,
                          seeds[3 + 2 * i])
-            for method, _, estimate, from_ls in methods:
-                slot = acc[(method, i)]
-                if slot["failed"]:
+            for j, (_, estimate, from_ls) in enumerate(methods):
+                if failed[j, i]:
                     continue
                 try:
                     if from_ls and ls_error is not None:
                         raise ls_error
                     t0 = time.perf_counter()
-                    est = estimate(states.get((method, i)), cell)
-                    slot["time"] += time.perf_counter() - t0 + (ls_time if from_ls else 0.0)
+                    est = estimate(states[j][i], cell)
+                    seconds[j, i] += time.perf_counter() - t0 + (ls_time if from_ls else 0.0)
                     if np.shape(est) != h.freq_response.shape:
                         raise InvalidArgumentError(f"estimate shape {np.shape(est)}, "
                                                    f"channel {h.freq_response.shape}")
-                    scored.append((method, i, est))
+                    scored.append((j, i))
+                    estimates.append(est)
                 except CelabError as exc:
-                    fail(method, i, sf, exc)
+                    fail(j, i, sf, exc)
         if not scored:
             continue
 
-        snr = [i for _, i, _ in scored]
-        h_hat = np.stack([est for *_, est in scored])
-        mse = evaluation.compute_mse(h.freq_response, h_hat)
-        for (method, i, _), m in zip(scored, mse.tolist()):
-            acc[(method, i)]["mse"] += m
+        cells = tuple(np.transpose(scored))  # (method indices, SNR indices)
+        h_hat = np.stack(estimates)
+        mse[cells] += evaluation.compute_mse(h.freq_response, h_hat)
         y_d = y[..., spec.n_pilot:]
+        snr = cells[1]
         try:
             x_hat = evaluation.equalize_lmmse(y_d[snr], h_hat, np.array(sigma2s)[snr, None], e_s)
         except CelabError:  # find the failing cells, one at a time
             x_hat = []
-            for method, i, est in scored:
+            for (j, i), est in zip(scored, estimates):
                 try:
                     x_hat.append(evaluation.equalize_lmmse(y_d[i], est, sigma2s[i], e_s))
                 except CelabError as exc:
-                    fail(method, i, sf, exc)
-            scored = [s for s in scored if not acc[s[:2]]["failed"]]
-            if not scored:
+                    fail(j, i, sf, exc)
+            if not x_hat:  # every cell failed
                 continue
+            cells = tuple(np.transpose([c for c in scored if not failed[c]]))
         bits = signal_model.demodulate_hard(x_hat, const)
-        errors, total, _ = evaluation.compute_ber(grid.data_bits, bits.reshape(len(scored), -1))
-        for (method, i, _), err in zip(scored, errors.tolist()):
-            acc[(method, i)]["errors"] += err
-            acc[(method, i)]["bits"] += total
+        errors[cells] += evaluation.compute_ber(grid.data_bits, bits.reshape(len(x_hat), -1))[0]
 
-    rows = []
-    for method in cfg.methods:
-        for i, snr in enumerate(cfg.snr_db):
-            slot = acc[(method, i)]
-            if slot["failed"]:
-                mse, ber = float("nan"), float("nan")
-            else:
-                mse = slot["mse"] / cfg.n_subframes
-                ber = slot["errors"] / slot["bits"]
-            rows.append(ResultRow(method, spec.pilot_pattern.value, float(snr), mse, ber,
-                                  cfg.n_subframes, slot["time"], cfg.seed))
-    return rows
+    # Every subframe's grid holds as many data bits as the last one's.
+    mse = np.where(failed, np.nan, mse / cfg.n_subframes).tolist()
+    ber = np.where(failed, np.nan, errors / (cfg.n_subframes * grid.data_bits.size)).tolist()
+    return [ResultRow(method, spec.pilot_pattern.value, float(snr), mse[j][i], ber[j][i],
+                      cfg.n_subframes, float(seconds[j, i]), cfg.seed)
+            for j, method in enumerate(cfg.methods) for i, snr in enumerate(cfg.snr_db)]
 
 
 def bench_iil(n_tx_list, kinds=(IilKind.SHIFTING, IilKind.MODULO), epochs=500,
@@ -410,11 +403,18 @@ def write_csv(rows, path) -> None:
 
 
 def read_csv(path):
-    """Inverse of write_csv (round-trip at 10 significant digits)."""
+    """Inverse of write_csv (round-trip at 10 significant digits).  A wrong
+    header, or a row with the wrong number of fields or a field that does not
+    parse, is an IOError naming the file (and the row's line)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise IOError(f"{path}: unexpected CSV header")
     kinds = typing.get_type_hints(ResultRow).values()
-    return [ResultRow(*(kind(cell) for kind, cell in zip(kinds, ln.split(","), strict=True)))
-            for ln in lines[1:]]
+    rows = []
+    for lineno, ln in lines[1:]:
+        try:
+            rows.append(ResultRow(*(k(v) for k, v in zip(kinds, ln.split(","), strict=True))))
+        except ValueError as exc:
+            raise IOError(f"{path}:{lineno}: malformed row '{ln}': {exc}") from exc
+    return rows

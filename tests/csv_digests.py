@@ -49,6 +49,12 @@ CONFIGS = {
     "rx3-tx2": {"n_rx": "3", "n_tx": "2", "n_sc": "32", "snr_db": "0,20,inf",
                 "n_subframes": "40", "seed": "7",
                 "methods": "LS,GenieLMMSE,EmLMMSE,PerfectCSI"},
+    # N_r < N_t: at sigma^2 = 0 every inf-dB cell fails in the equalizer on
+    # subframe 0, so its rows read NaN, while the 10 dB cells survive the
+    # failed stacked call; pins the failure bookkeeping.
+    "rank-deficient": {"n_rx": "1", "n_tx": "2", "n_sc": "16", "snr_db": "10,inf",
+                       "n_subframes": "4", "seed": "7", "epochs": "3",
+                       "methods": ",".join(harness.METHODS)},
 }
 
 

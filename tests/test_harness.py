@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, is_dataclass, replace
 
 import csv_digests
@@ -374,6 +375,33 @@ class TestRunSweep:
             assert math.isnan(rows[method].mse) and math.isnan(rows[method].ber)
         assert rows["PerfectCSI"].mse == 0.0 and math.isfinite(rows["PerfectCSI"].ber)
 
+    def test_every_cell_failing_in_the_equalizer(self):
+        # One receive antenna against two transmit: at sigma^2 = 0 every
+        # cell's equalizer system is rank one, so the whole subframe fails
+        # after its stacked call and nothing is left to score.
+        cfg = config_from_items({"n_rx": "1", "n_tx": "2", "n_sc": "8", "snr_db": "inf",
+                                 "n_subframes": "2", "methods": "LS,PerfectCSI"})
+        with pytest.warns(RuntimeWarning) as record:
+            rows = run_sweep(cfg)
+        assert [str(w.message) for w in record] == [
+            f"{method} at inf dB failed on subframe 0: "
+            "NumericalFailureError: equalizer system singular or ill-conditioned"
+            for method in ("LS", "PerfectCSI")]
+        assert [r.method for r in rows] == ["LS", "PerfectCSI"]
+        assert all(math.isnan(r.mse) and math.isnan(r.ber) for r in rows)
+
+    def test_wall_time_counts_each_cell_and_its_share_of_ls(self, monkeypatch):
+        # A clock that ticks once per reading: each cell's estimate costs 1,
+        # and the subframe's one LS call (also 1) is split between its two
+        # SNRs and charged to LS only, since PerfectCSI does not start from it.
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: float(next(ticks)))
+        cfg = config_from_items({"n_sc": "8", "n_subframes": "3", "snr_db": "10,20",
+                                 "methods": "LS,PerfectCSI"})
+        seconds = {(r.method, r.snr_db): r.wall_time_s for r in run_sweep(cfg)}
+        assert seconds == {("LS", 10.0): 4.5, ("LS", 20.0): 4.5,
+                           ("PerfectCSI", 10.0): 3.0, ("PerfectCSI", 20.0): 3.0}
+
 
 class TestCsv:
     def test_empty_rows_header_only(self, tmp_path):
@@ -438,6 +466,17 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("method,snr\nLS,1\n")
         with pytest.raises(IOError):
+            read_csv(str(path))
+
+    @pytest.mark.parametrize("row", [
+        "LS,orthogonal,10,0.125,0.5,5,1.5",           # a field short
+        "LS,orthogonal,10,abc,0.5,5,1.5,42",          # MSE not a number
+    ])
+    def test_malformed_row_names_the_file_and_line(self, tmp_path, row):
+        good = "LS,orthogonal,10,0.125,0.5,5,1.5,42"
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{CSV_HEADER}\n{good}\n\n{row}\n")
+        with pytest.raises(IOError, match=f"^{re.escape(str(path))}:4: malformed row"):
             read_csv(str(path))
 
 
