@@ -240,7 +240,8 @@ def run_sweep(cfg: ExperimentConfig):
     subframe and the error.  A failing LS estimate fails every method that
     starts from it, each in its own cell, and no other.  A subframe's
     equalizer failures are found by equalizing its cells one at a time, and
-    warn after its estimate failures.
+    warn after its estimate failures.  Once every cell has failed, the sweep
+    draws no further subframe.
 
     The books are four (method, SNR) tables, indexed by the method's position
     in `cfg.methods` and the SNR's in `cfg.snr_db`: summed MSE, seconds, bit
@@ -310,8 +311,8 @@ def run_sweep(cfg: ExperimentConfig):
                     estimates.append(est)
                 except CelabError as exc:
                     fail(j, i, sf, exc)
-        if not scored:
-            continue
+        if not scored:  # every cell has failed: nothing is left to run
+            break
 
         cells = tuple(np.transpose(scored))  # (method indices, SNR indices)
         h_hat = np.stack(estimates)
@@ -327,8 +328,8 @@ def run_sweep(cfg: ExperimentConfig):
                     x_hat.append(evaluation.equalize_lmmse(y_d[i], est, sigma2s[i], e_s))
                 except CelabError as exc:
                     fail(j, i, sf, exc)
-            if not x_hat:  # every cell failed
-                continue
+            if not x_hat:  # every cell has failed
+                break
             cells = tuple(np.transpose([c for c in scored if not failed[c]]))
         bits = signal_model.demodulate_hard(x_hat, const)
         errors[cells] += evaluation.compute_ber(grid.data_bits, bits.reshape(len(x_hat), -1))[0]

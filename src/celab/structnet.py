@@ -37,15 +37,17 @@ one per stream (`_n_parts`): the first in the caller, each other in a
 worker process of its own (`_train_in_parts`).  No process holds the whole
 batch.  The caller sends a worker, through a pipe, the subframe's inputs
 (`_Batch`: pilots, LS estimate, config and stream seeds, ~200 KB at 1024
-subcarriers) and the part's stream range.  One function, `_train_part`,
-trains every part, in the caller or a worker: it builds the part's streams,
-trains them and returns their desired weights, or the exception training
-raised; a worker sends that as its reply, which the caller gathers.  A
-one-part batch takes the same path and forks no worker.  Each stream's
-models are drawn from its own seed, so the numbers are bit for bit those of
-the whole batch in one process.  A batch thus uses at most 2*N_t cores: a
-2x2 batch on an 8-core machine trains in 4 parts.  `harness.bench_iil`
-trains its own trainer in the caller.
+subcarriers, with the pilot layout the batch read, once, when it was made)
+and the part's stream range.  One function, `_train_part`, trains every
+part, in the caller or a worker: it builds the part's streams from one
+table of the LS estimate's stream columns, trains them and returns their
+desired weights, or the exception training raised; a worker sends that as
+its reply, which the caller gathers.  A one-part batch takes the same path
+and forks no worker.  Each stream's models are drawn from its own seed, so
+the numbers are bit for bit those of the whole batch in one process.  A
+batch thus uses at most 2*N_t cores: a 2x2 batch on an 8-core machine
+trains in 4 parts.  `harness.bench_iil` trains its own trainer in the
+caller.
 
 Blocks.  `run_epochs` trains `_BLOCK` = 256 models at a time, all epochs per
 block, so a block's gradients, weight copies and activations stay in the
@@ -233,17 +235,17 @@ def _complexify(columns) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(h, 0, -1))
 
 
-def _init_stream(h_ls, stream: int, cfg: TrainConfig, rng, mlp_out=None):
+def _init_stream(columns, stream: int, cfg: TrainConfig, rng, mlp_out=None):
     """Initial weights of one realized stream's models, one per subcarrier.
 
-    h_ls is (n_sc, N_r, N_t).  Returns (desired (n_sc, D), interference
-    (n_sc, K, D), MLP weights), D = 2*N_r, K = 2*N_t - 1.  The desired
-    weights are the stream's realified channel column; the interference
-    weights are the other realized streams' columns, ordered per
+    columns is `_columns(h_ls)`, (2*N_t, n_sc, D), of the LS estimate h_ls:
+    built once and shared by every stream.  Returns (desired (n_sc, D),
+    interference (n_sc, K, D), MLP weights), D = 2*N_r, K = 2*N_t - 1.  The
+    desired weights are the stream's realified channel column; the
+    interference weights are the other realized streams' columns, ordered per
     cfg.iil_order on each subcarrier separately.  The MLP weights
     (`_init_mlp`) are written into `mlp_out` if it is given.
     """
-    columns = _columns(h_ls)  # (2*N_t, n_sc, D)
     interference = np.delete(columns, stream, 0).swapaxes(0, 1)
     if cfg.iil_order is IilOrder.DESCENDING_STRENGTH:
         order = np.argsort(-np.sum(interference**2, axis=2), axis=1, kind="stable")
@@ -580,7 +582,15 @@ class _Batch:
     """One subframe's learner batch, held as its inputs: every (subcarrier,
     stream) model, streams stacked along the model axis, so stream i owns
     models [i*n_sc, (i+1)*n_sc).  A range of streams is built from these
-    alone (`rows`), so each process builds only the part it trains."""
+    alone (`rows`), so each process builds only the part it trains.
+
+    The pilot layout is read once, when the batch is made: `slots` (N_t, P)
+    holds the P pilot slots each antenna transmits in, from which each of its
+    streams takes its samples, and `n_samples` = 2P is every model's sample
+    count.  Making the batch raises `InvalidArgumentError` when an antenna
+    transmits in no slot or the antennas' slot counts differ, and
+    `ResourceLimitError` when the whole batch's shifting IIL cache would
+    exceed `CACHE_BYTE_CAP` in float32, before any part is built."""
 
     y_p: np.ndarray    # (n_sc, N_r, N_p) received pilots
     x_p: np.ndarray    # (n_sc, N_t, N_p) pilot symbols
@@ -588,26 +598,26 @@ class _Batch:
     cfg: TrainConfig
     seeds: list        # one seed per realized stream
 
-    @property
-    def active(self) -> np.ndarray:
-        """(N_t, N_p): whether each antenna transmits in each pilot slot."""
-        return np.any(self.x_p != 0, axis=0)
+    def __post_init__(self):
+        # All streams share sample count only when their antennas are active on
+        # the same number of pilot slots (always true for both pilot patterns),
+        # so every (subcarrier, stream) model trains in one batched pass.
+        active = np.any(self.x_p != 0, axis=0)  # (N_t, N_p)
+        n_slots = active.sum(axis=1)
+        odd = np.flatnonzero((n_slots == 0) | (n_slots != n_slots[0]))
+        if odd.size and n_slots[odd[0]] == 0:
+            raise InvalidArgumentError(f"antenna {odd[0]} transmits no pilot symbol")
+        if odd.size:
+            raise InvalidArgumentError("antennas differ in active pilot slot count")
+        self.slots = np.nonzero(active)[1].reshape(len(active), -1)
+        self.n_samples = 2 * self.slots.shape[1]
+        # Every model's samples (n_sc per stream), each of D = 2*N_r values, in float32.
+        n_inputs = self.n_streams * len(self.x_p) * self.n_samples * 2 * self.y_p.shape[1]
+        _check_cache(self.cfg, self.n_streams - 1, n_inputs, 4)
 
     @property
     def n_streams(self) -> int:
         return 2 * self.x_p.shape[1]
-
-    @property
-    def n_models(self) -> int:
-        return self.n_streams * self.x_p.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return 2 * int(np.count_nonzero(self.active[0]))
-
-    def anchor(self) -> np.ndarray:
-        """Every model's desired weights at the LS estimate, (n_models, D) float64."""
-        return _columns(self.h_ls).reshape(self.n_models, -1)
 
     def rows(self, first: int, last: int) -> _BatchTrainer:
         """Streams [first, last), models [first*n_sc, last*n_sc), as a float32
@@ -621,16 +631,17 @@ class _Batch:
         mlp = tuple(np.empty((n_models,) + shape, f32) for shape in _mlp_shapes(dim, self.cfg))
         lam = np.empty((n_models, self.n_samples), f32)
         y = np.empty(lam.shape + (dim,), f32)
-        # Stream i's PAM pilot levels (n_sc, 2*N_t, N_p) and pilot slots, in `_columns`' order.
+        # Every stream's PAM pilot levels (n_sc, 2*N_t, N_p), pilot slots
+        # (2*N_t, P) and channel columns, in `_columns`' order.
         levels = np.concatenate([self.x_p.real, self.x_p.imag], axis=1)
-        active = np.tile(self.active, (2, 1))
+        slots, columns = np.tile(self.slots, (2, 1)), _columns(self.h_ls)
         for i in range(first, last):
             rows = slice((i - first) * n_sc, (i - first + 1) * n_sc)
-            slots = np.flatnonzero(active[i])
-            y_real = realify_signal(np.transpose(self.y_p[:, :, slots], (0, 2, 1)))  # (n_sc, P, D)
-            _, lam_i, y_samples = _binary_samples(levels[:, i, slots], y_real)
+            # The stream's received pilots, (n_sc, P, D), and their binary samples.
+            y_real = realify_signal(np.transpose(self.y_p[:, :, slots[i]], (0, 2, 1)))
+            _, lam_i, y_samples = _binary_samples(levels[:, i, slots[i]], y_real)
             anchor, interference[rows], _ = _init_stream(
-                self.h_ls, i, self.cfg, np.random.default_rng(self.seeds[i]),
+                columns, i, self.cfg, np.random.default_rng(self.seeds[i]),
                 [w[rows] for w in mlp])
             lam[rows] = lam_i
             y[rows] = _channel_layer(y_samples, lam_i, anchor)
@@ -819,23 +830,9 @@ def estimate_channel_structnet(y_p, x_p, cfg: TrainConfig, seed, h_ls=None) -> n
     """
     y_p = np.asarray(y_p, dtype=complex)   # (n_sc, N_r, N_p)
     x_p = np.asarray(x_p, dtype=complex)   # (n_sc, N_t, N_p)
-    n_tx = x_p.shape[1]
-    if h_ls is None:
-        h_ls = estimate_ls(y_p, x_p)       # (n_sc, N_r, N_t)
-    batch = _Batch(y_p, x_p, np.asarray(h_ls, dtype=complex), cfg, child_seeds(seed, 2 * n_tx))
-
-    # All streams share sample count only when their antennas are active on
-    # the same number of pilot slots (always true for both pilot patterns),
-    # so every (subcarrier, stream) model trains in one batched pass.
-    n_slots = batch.active.sum(axis=1)
-    odd = np.flatnonzero((n_slots == 0) | (n_slots != n_slots[0]))
-    if odd.size and n_slots[odd[0]] == 0:
-        raise InvalidArgumentError(f"antenna {odd[0]} transmits no pilot symbol")
-    if odd.size:
-        raise InvalidArgumentError("antennas differ in active pilot slot count")
-    # Checked for the whole batch before any part is built, in float32.
-    _check_cache(cfg, 2 * n_tx - 1, batch.n_models * batch.n_samples * 2 * y_p.shape[1], 4)
-
-    # (n_sc, N_r, N_t) from the 2*N_t per-stream weight sets, anchor + change.
+    h_ls = np.asarray(estimate_ls(y_p, x_p) if h_ls is None else h_ls, dtype=complex)
+    batch = _Batch(y_p, x_p, h_ls, cfg, child_seeds(seed, 2 * x_p.shape[1]))  # checks the slots
     change = _train_in_parts(batch, _n_parts(batch)) if cfg.epochs > 0 else 0.0
-    return _complexify((batch.anchor() + change).reshape(2 * n_tx, len(y_p), -1))
+    # (n_sc, N_r, N_t) from the 2*N_t per-stream weight sets, anchor + change.
+    anchor = _columns(h_ls)  # (2*N_t, n_sc, D)
+    return _complexify((anchor.reshape(-1, anchor.shape[-1]) + change).reshape(anchor.shape))

@@ -35,6 +35,10 @@ CONFIGS = {
                      "methods": ",".join(harness.METHODS), "epochs": "3", "seed": "7"},
     "orthogonal": {**_LEARNER, "n_sc": "32", "pilot_pattern": "orthogonal",
                    "iil_order": "given", "epochs": "20"},
+    # n_pilot > n_tx: slot 2 is silent for every antenna, so each model
+    # trains on the slots its antenna transmits in, not on every slot.
+    "orthogonal-silent-slot": {**_LEARNER, "n_sc": "32", "pilot_pattern": "orthogonal",
+                               "n_pilot": "3", "epochs": "20"},
     "three-antennas": {**_LEARNER, "n_sc": "32", "n_tx": "3", "n_pilot": "3",
                        "update_interference": "false", "iil": "shifting", "iil_window": "1",
                        "epochs": "20"},

@@ -375,10 +375,21 @@ class TestRunSweep:
             assert math.isnan(rows[method].mse) and math.isnan(rows[method].ber)
         assert rows["PerfectCSI"].mse == 0.0 and math.isfinite(rows["PerfectCSI"].ber)
 
-    def test_every_cell_failing_in_the_equalizer(self):
+    @staticmethod
+    def _counted_draws(monkeypatch):
+        """A list that grows by one at each channel the sweep draws."""
+        draws = []
+        monkeypatch.setattr(harness.channel_sim, "sample_channel",
+                            lambda *a, f=harness.channel_sim.sample_channel:
+                            draws.append(1) or f(*a))
+        return draws
+
+    def test_every_cell_failing_in_the_equalizer(self, monkeypatch):
         # One receive antenna against two transmit: at sigma^2 = 0 every
         # cell's equalizer system is rank one, so the whole subframe fails
-        # after its stacked call and nothing is left to score.
+        # after its stacked call and nothing is left to score: the sweep
+        # draws no further subframe.
+        draws = self._counted_draws(monkeypatch)
         cfg = config_from_items({"n_rx": "1", "n_tx": "2", "n_sc": "8", "snr_db": "inf",
                                  "n_subframes": "2", "methods": "LS,PerfectCSI"})
         with pytest.warns(RuntimeWarning) as record:
@@ -389,6 +400,29 @@ class TestRunSweep:
             for method in ("LS", "PerfectCSI")]
         assert [r.method for r in rows] == ["LS", "PerfectCSI"]
         assert all(math.isnan(r.mse) and math.isnan(r.ber) for r in rows)
+        assert len(draws) == 1
+
+    def test_every_cell_failing_in_estimation(self, monkeypatch):
+        # LS fails at every SNR, and so does GenieLMMSE, which filters it:
+        # no cell is left after subframe 0's estimates, so the sweep draws
+        # no further subframe.
+        def singular(y_p, x_p):
+            raise NumericalFailureError("pilot Gram matrix ill-conditioned (cond=inf)")
+
+        monkeypatch.setattr(estimators, "estimate_ls", singular)
+        draws = self._counted_draws(monkeypatch)
+        cfg = config_from_items({"n_sc": "8", "n_subframes": "3", "snr_db": "10,20",
+                                 "methods": "LS,GenieLMMSE"})
+        with pytest.warns(RuntimeWarning) as record:
+            rows = run_sweep(cfg)
+        assert [str(w.message) for w in record] == [
+            f"{method} at {snr} dB failed on subframe 0: "
+            "NumericalFailureError: pilot Gram matrix ill-conditioned (cond=inf)"
+            for snr in (10, 20) for method in ("LS", "GenieLMMSE")]
+        assert [(r.method, r.snr_db) for r in rows] == [
+            (method, snr) for method in ("LS", "GenieLMMSE") for snr in (10.0, 20.0)]
+        assert all(math.isnan(r.mse) and math.isnan(r.ber) for r in rows)
+        assert len(draws) == 1
 
     def test_wall_time_counts_each_cell_and_its_share_of_ls(self, monkeypatch):
         # A clock that ticks once per reading: each cell's estimate costs 1,

@@ -35,6 +35,7 @@ from celab.structnet import (
     TrainConfig,
     _BatchTrainer,
     _binary_samples,
+    _columns,
     _complexify,
     _grid_tanh_sum,
     _init_mlp,
@@ -85,7 +86,8 @@ class TestInitModel:
     def test_interference_count_and_order(self):
         rng = np.random.default_rng(0)
         h_ls = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
-        desired, interference, _ = _init_stream(h_ls, 0, TrainConfig(), np.random.default_rng(1))
+        desired, interference, _ = _init_stream(_columns(h_ls), 0, TrainConfig(),
+                                                np.random.default_rng(1))
         assert desired.shape == (1, 4)
         assert interference.shape == (1, 3, 4)
         want = [_column(h_ls[0], j) for j in (1, 2, 3)]
@@ -94,7 +96,8 @@ class TestInitModel:
 
     def test_single_antenna_has_one_interferer(self):
         h_ls = np.array([[[1 + 2j]]])
-        _, interference, _ = _init_stream(h_ls, 0, TrainConfig(), np.random.default_rng(0))
+        _, interference, _ = _init_stream(_columns(h_ls), 0, TrainConfig(),
+                                          np.random.default_rng(0))
         assert interference.shape == (1, 1, 2)
         assert np.allclose(interference[0, 0], [-2.0, 1.0])
 
@@ -102,14 +105,14 @@ class TestInitModel:
         rng = np.random.default_rng(1)
         h_ls = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
         cfg = TrainConfig(iil_order=IilOrder.GIVEN_ORDER)
-        _, interference, _ = _init_stream(h_ls, 1, cfg, np.random.default_rng(2))
+        _, interference, _ = _init_stream(_columns(h_ls), 1, cfg, np.random.default_rng(2))
         want = [_column(h_ls[0], j) for j in (0, 2, 3)]
         assert np.allclose(interference[0], np.stack(want))
 
     def test_same_seed_same_mlp(self):
         h_ls = np.eye(2, dtype=complex)[None]
-        _, _, a = _init_stream(h_ls, 0, TrainConfig(), np.random.default_rng(3))
-        _, _, b = _init_stream(h_ls, 0, TrainConfig(), np.random.default_rng(3))
+        _, _, a = _init_stream(_columns(h_ls), 0, TrainConfig(), np.random.default_rng(3))
+        _, _, b = _init_stream(_columns(h_ls), 0, TrainConfig(), np.random.default_rng(3))
         assert len(a) == len(b) == 6
         assert all(np.array_equal(wa, wb) for wa, wb in zip(a, b))
 
@@ -139,7 +142,7 @@ class TestInitModel:
         assert len(set(strongest)) > 1
         cfg = TrainConfig(iil_order=order)
         for stream in range(4):
-            desired, interference, _ = _init_stream(h_ls, stream, cfg,
+            desired, interference, _ = _init_stream(_columns(h_ls), stream, cfg,
                                                     np.random.default_rng(0))
             for k in range(4):
                 want = _column(h_ls[k], stream)
@@ -348,7 +351,7 @@ class TestTrainEpoch:
         h = 1.0 + 0.5j
         x_levels = np.array([-1.0, 1.0, -1.0, 1.0])
         y = np.stack([(h * x_levels).real, (h * x_levels).imag], axis=1)
-        desired, interference, mlp = _init_stream(np.array([[[h]]]), 0, cfg,
+        desired, interference, mlp = _init_stream(_columns(np.array([[[h]]])), 0, cfg,
                                                   np.random.default_rng(seed))
         classes, lam, samples = _binary_samples(x_levels[None], y[None])
         return _BatchTrainer(desired, interference, mlp, classes, lam, samples, cfg)
@@ -613,19 +616,22 @@ class TestEstimateChannel:
             x = x_p[:, i % n_tx, slots]
             y_real = realify_signal(np.transpose(y_p[:, :, slots], (0, 2, 1)))
             labels, lam, samples = _binary_samples(x.real if i < n_tx else x.imag, y_real)
-            desired, interference, mlp = _init_stream(h_ls, i, cfg,
+            desired, interference, mlp = _init_stream(_columns(h_ls), i, cfg,
                                                       np.random.default_rng(stream_seed))
             streams.append((desired, interference, *mlp, lam, samples))
         anchor, interference, *mlp, lam, y = (np.concatenate(a) for a in zip(*streams))
         return labels, anchor, interference, mlp, lam, structnet._channel_layer(y, lam, anchor)
 
+    @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("pattern", list(PilotPattern))
     @pytest.mark.parametrize("order", list(IilOrder))
     @pytest.mark.parametrize("n_tx", [1, 2])
     def test_batch_built_in_place_is_the_stacked_streams(self, monkeypatch, n_tx, order,
-                                                         pattern):
+                                                         pattern, extra):
         # The batch built in place is the stacked streams cast to float32.
-        spec = SubframeSpec(n_sc=8, n_tx=n_tx, n_pilot=n_tx, pilot_pattern=pattern)
+        # With an extra orthogonal pilot slot, slot n_tx is silent for every
+        # antenna, so each stream takes its samples from a subset of the slots.
+        spec = SubframeSpec(n_sc=8, n_tx=n_tx, n_pilot=n_tx + extra, pilot_pattern=pattern)
         y_p, x_p = self._pilots(spec, 42)
         cfg = TrainConfig(epochs=1, iil_order=order)
         batch = self._captured_batch(monkeypatch, y_p, x_p, cfg, 43)
@@ -637,7 +643,17 @@ class TestEstimateChannel:
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tobytes() == b.tobytes(), name
-        assert np.array_equal(batch.anchor(), anchor)
+        assert np.array_equal(_columns(batch.h_ls).reshape(anchor.shape), anchor)
+
+    def test_one_column_table_per_part(self, monkeypatch):
+        # Every stream of a part is initialized from one table of the LS
+        # estimate's stream columns, built once for the part.
+        batch = _learner_batch()
+        calls = []
+        monkeypatch.setattr(structnet, "_columns",
+                            lambda h, f=structnet._columns: calls.append(1) or f(h))
+        batch.rows(1, 4)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("block", [3, 256])
     def test_part_rows_are_the_stacked_streams_rows(self, monkeypatch, block):
